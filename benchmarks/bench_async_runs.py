@@ -27,7 +27,8 @@ import threading
 
 import pytest
 
-from repro import FaultModel, TrustDomain, parallel
+from repro import TrustDomain, parallel
+from repro.faults import FaultPlan, FaultRule
 
 from benchmarks.conftest import CallCounter
 
@@ -43,7 +44,11 @@ def build_domain(async_runs, drop, objects):
     domain = TrustDomain.create(
         [f"urn:bench:p{i}" for i in range(PARTIES)],
         scheme="hmac",
-        fault_model=FaultModel(drop_probability=drop, seed=SEED) if drop else None,
+        fault_plan=(
+            FaultPlan(rules=[FaultRule("drop", probability=drop)], seed=SEED)
+            if drop
+            else None
+        ),
         scheduled_retries=async_runs,
         async_runs=async_runs,
     )

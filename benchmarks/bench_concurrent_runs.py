@@ -20,7 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro import FaultModel, TrustDomain
+from repro import TrustDomain
+from repro.faults import FaultPlan, FaultRule
 from repro.clock import SystemClock
 from repro.transport.network import ParallelDispatch
 
@@ -39,7 +40,9 @@ def concurrent_domain(runs):
     uris = [f"urn:bench:party{i}" for i in range(PARTIES)]
     domain = TrustDomain.create(
         uris,
-        fault_model=FaultModel(latency_seconds=LINK_LATENCY_SECONDS),
+        fault_plan=FaultPlan(
+            rules=[FaultRule("delay", latency_seconds=LINK_LATENCY_SECONDS)]
+        ),
         clock=SystemClock(),
         dispatch=ParallelDispatch(),
     )

@@ -11,7 +11,8 @@ message loss -- the trade-off the paper describes qualitatively.
 
 import pytest
 
-from repro import ComponentDescriptor, FaultModel, TrustDomain
+from repro import ComponentDescriptor, TrustDomain
+from repro.faults import FaultPlan, FaultRule
 from repro.core.fair_exchange import FairExchangeClient
 
 from benchmarks.conftest import CallCounter, QuoteService
@@ -89,8 +90,10 @@ def test_direct_liveness_cost_under_loss(benchmark, drop_probability):
     """
     domain = TrustDomain.create(
         ["urn:bench:client", "urn:bench:provider"],
-        fault_model=FaultModel(
-            drop_probability=drop_probability, max_consecutive_drops=4, seed=b"bench-p4"
+        fault_plan=FaultPlan(
+            rules=[FaultRule("drop", probability=drop_probability)],
+            seed=b"bench-p4",
+            max_consecutive_failures=4,
         ),
     )
     provider = domain.organisation("urn:bench:provider")

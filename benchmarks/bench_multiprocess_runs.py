@@ -63,7 +63,8 @@ def worker_main(
     kill: bool = False,
     recover: bool = False,
 ) -> None:
-    from repro import FaultModel, TrustDomain
+    from repro import TrustDomain
+    from repro.faults import FaultPlan, FaultRule
     from repro.persistence.evidence_store import EvidenceStore
     from repro.persistence.storage import FileBackend
 
@@ -82,10 +83,10 @@ def worker_main(
     domain = TrustDomain.create(
         uris,
         scheme="hmac",
-        fault_model=FaultModel(
-            drop_probability=DROP_PROBABILITY,
-            max_consecutive_drops=3,
+        fault_plan=FaultPlan(
+            rules=[FaultRule("drop", probability=DROP_PROBABILITY)],
             seed=b"mp-%d" % index,
+            max_consecutive_failures=3,
         ),
         async_runs=True,
         evidence_backend_factory=backend_for,

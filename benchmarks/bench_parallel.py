@@ -23,7 +23,8 @@ import time
 
 import pytest
 
-from repro import FaultModel, TrustDomain
+from repro import TrustDomain
+from repro.faults import FaultPlan, FaultRule
 from repro.clock import SystemClock
 from repro.crypto import dsa
 from repro.transport.network import ParallelDispatch, SequentialDispatch
@@ -40,7 +41,9 @@ def sharing_domain(parties, dispatch, latency=0.0):
     uris = [f"urn:bench:party{i}" for i in range(parties)]
     kwargs = {"dispatch": dispatch}
     if latency:
-        kwargs["fault_model"] = FaultModel(latency_seconds=latency)
+        kwargs["fault_plan"] = FaultPlan(
+            rules=[FaultRule("delay", latency_seconds=latency)]
+        )
         kwargs["clock"] = SystemClock()
     domain = TrustDomain.create(uris, **kwargs)
     domain.share_object("bench-doc", {"counter": 0, "payload": {}})

@@ -86,12 +86,14 @@ def test_invocation_message_counts_per_style(benchmark, style):
 
 def test_retry_overhead_on_lossy_network(benchmark):
     """Extra send attempts needed per completed invocation on a lossy link."""
-    from repro import FaultModel
+    from repro.faults import FaultPlan, FaultRule
 
     domain = build_domain(
         2,
-        fault_model=FaultModel(
-            drop_probability=0.4, max_consecutive_drops=4, seed=b"bench-lossy"
+        fault_plan=FaultPlan(
+            rules=[FaultRule("drop", probability=0.4)],
+            seed=b"bench-lossy",
+            max_consecutive_failures=4,
         ),
     )
     client = domain.organisation("urn:bench:party0")

@@ -19,7 +19,8 @@ import pytest
 
 from repro.clock import SimulatedClock
 from repro.transport.delivery import ReliableChannel, RetryPolicy
-from repro.transport.network import FaultModel, SimulatedNetwork
+from repro.faults import FaultPlan, FaultRule
+from repro.transport.network import SimulatedNetwork
 from repro.transport.scheduler import RetryScheduler, wait_all
 
 #: Per-fan-out width: wide enough that nearly every run sees >= 1 drop at a
@@ -34,7 +35,10 @@ POLICY = RetryPolicy(max_attempts=8, backoff_seconds=0.05, backoff_multiplier=2.
 def lossy_network():
     clock = SimulatedClock()
     network = SimulatedNetwork(
-        FaultModel(drop_probability=DROP_PROBABILITY, seed=SEED), clock=clock
+        clock=clock,
+        fault_plan=FaultPlan(
+            rules=[FaultRule("drop", probability=DROP_PROBABILITY)], seed=SEED
+        ),
     )
     for index in range(ENTRIES_PER_RUN):
         network.register(f"urn:dst{index}", lambda message: "ok")

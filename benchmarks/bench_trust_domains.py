@@ -9,7 +9,8 @@ relayed), extra latency hops and extra evidence (TTP notarisation tokens).
 
 import pytest
 
-from repro import DeploymentStyle, FaultModel
+from repro import DeploymentStyle
+from repro.faults import FaultPlan, FaultRule
 
 from benchmarks.conftest import CallCounter, build_domain
 
@@ -21,8 +22,12 @@ STYLES = [
 
 
 def build(style, latency=0.0):
-    fault_model = FaultModel(latency_seconds=latency) if latency else None
-    domain = build_domain(2, style=style, fault_model=fault_model)
+    fault_plan = (
+        FaultPlan(rules=[FaultRule("delay", latency_seconds=latency)])
+        if latency
+        else None
+    )
+    domain = build_domain(2, style=style, fault_plan=fault_plan)
     domain.share_object("bench-doc", {"v": 0})
     return domain
 

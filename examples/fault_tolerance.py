@@ -29,11 +29,11 @@ from repro import (
     ComponentDescriptor,
     DomainConfig,
     FaultConfig,
-    FaultModel,
     TrustDomain,
 )
 from repro.core.config import ObservabilityConfig
 from repro.core.sharing import set_run_fault_injector
+from repro.faults import FaultPlan, FaultRule
 from repro.observability import runtime as observability
 from repro.observability.exporters import metrics_snapshot
 from repro.observability.tracing import render_tree
@@ -51,17 +51,18 @@ class InventoryService:
 
 
 def main() -> None:
-    fault_model = FaultModel(
-        drop_probability=0.5,        # half of all sends are lost...
-        duplicate_probability=0.2,   # ...some delivered messages are duplicated...
-        latency_seconds=0.005,       # ...and every delivery takes time.
-        jitter_seconds=0.01,
-        max_consecutive_drops=4,     # bounded failures: retries eventually succeed
+    fault_plan = FaultPlan(
+        rules=[
+            FaultRule("drop", probability=0.5),       # half of all sends are lost...
+            FaultRule("duplicate", probability=0.2),  # ...some deliveries are duplicated...
+            FaultRule("delay", latency_seconds=0.005, jitter_seconds=0.01),  # ...and slow.
+        ],
+        max_consecutive_failures=4,  # bounded failures: retries eventually succeed
         seed=b"fault-tolerance-example",
     )
     parties = ["urn:org:buyer", "urn:org:warehouse", "urn:org:auditor"]
     domain = TrustDomain.create(
-        parties, config=DomainConfig(faults=FaultConfig(model=fault_model))
+        parties, config=DomainConfig(faults=FaultConfig(plan=fault_plan))
     )
     buyer = domain.organisation("urn:org:buyer")
     warehouse = domain.organisation("urn:org:warehouse")

@@ -90,7 +90,7 @@ On top of the encode-once substrate, the protocol engine runs concurrently:
   shared worker pool, so per-destination link latency and GIL-releasing
   signature work (``BN_mod_exp`` via ctypes) overlap across the fan-out.
   Property tests assert that both strategies produce identical
-  ``NetworkStatistics`` and replica state for the same seeded fault model.
+  ``NetworkStatistics`` and replica state for the same seeded fault plan.
 
 * **Handler thread-safety contract** -- any endpoint reachable through a
   batched call on a parallel network may be invoked concurrently with other
@@ -139,7 +139,7 @@ On top of the encode-once substrate, the protocol engine runs concurrently:
   machine groups retry waves exactly like the blocking loop, so for
   non-interleaved workloads statistics and replica state are *byte
   identical* between modes (property-tested, including under a seeded
-  lossy fault model); delivery effort is observable either way through
+  lossy fault plan); delivery effort is observable either way through
   ``NetworkStatistics.attempts_per_destination`` /
   ``deliveries_per_destination``.  ``ReliableChannel.close()`` cancels
   in-flight retries without leaking timers.
@@ -305,8 +305,8 @@ channels, scheduled retries, parallel dispatch, the async run engine -- is
 deployment-agnostic:
 
 * **Simulated (in-process)** -- ``repro.transport.network.SimulatedNetwork``
-  hosts every endpoint in one interpreter with a configurable injected
-  fault model (loss, duplication, latency, partitions) on a virtual clock.
+  hosts every endpoint in one interpreter with a seeded injected
+  fault plan (loss, duplication, latency, partitions) on a virtual clock.
   This is the deterministic research instrument: seeded faults, exact
   statistics, reproducible timelines.
 
@@ -494,7 +494,7 @@ from repro.observability import MetricsRegistry, SpanCollector
 from repro.persistence.run_journal import JournaledRun, RunJournal
 from repro.persistence.sqlite_backend import SQLiteBackend
 from repro.persistence.storage import StorageProfile
-from repro.transport.network import FaultModel, SimulatedNetwork
+from repro.transport.network import SimulatedNetwork
 from repro.transport.wire import WireNetwork, WireTransport, wire_type
 
 __version__ = "1.0.0"
@@ -526,7 +526,6 @@ __all__ = [
     "EvidenceVerifier",
     "FairExchangeClient",
     "FaultConfig",
-    "FaultModel",
     "Interceptor",
     "Invocation",
     "InvocationOutcome",

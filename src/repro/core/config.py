@@ -12,7 +12,7 @@ surface: one dataclass grouping the knobs by concern --
 * :class:`DurabilityConfig` -- evidence/journal/audit persistence, either
   as one ``storage=`` profile (``"memory"``, ``"file:<dir>"``,
   ``"sqlite:<path>"``) or as explicit per-store backend factories;
-* :class:`FaultConfig` -- the seeded fault plan (or legacy fault model);
+* :class:`FaultConfig` -- the seeded fault plan;
 * :class:`PeeringConfig` -- the lazy per-peer channel manager's bounds.
 
 Every cross-field validity rule lives in :meth:`DomainConfig.validate`,
@@ -33,7 +33,7 @@ from repro.errors import ProtocolError
 from repro.faults import FaultPlan
 from repro.peering import PeeringPolicy
 from repro.persistence.storage import StorageBackend, StorageProfile
-from repro.transport.network import DispatchStrategy, FaultModel, SimulatedNetwork
+from repro.transport.network import DispatchStrategy, SimulatedNetwork
 
 __all__ = [
     "DeploymentStyle",
@@ -169,10 +169,10 @@ class DurabilityConfig:
 
 @dataclass
 class FaultConfig:
-    """Seeded fault injection: a declarative plan, or the legacy model."""
+    """Seeded fault injection: a declarative :class:`FaultPlan`, applied at
+    message admission on either transport."""
 
     plan: Optional[FaultPlan] = None
-    model: Optional[FaultModel] = None
 
 
 @dataclass
@@ -246,7 +246,6 @@ class DomainConfig:
         cls,
         style: DeploymentStyle = DeploymentStyle.DIRECT,
         network: Optional[SimulatedNetwork] = None,
-        fault_model: Optional[FaultModel] = None,
         clock: Optional[Clock] = None,
         scheme: str = "rsa",
         use_timestamping: bool = False,
@@ -294,7 +293,7 @@ class DomainConfig:
                 resync_on_connect=resync_on_connect,
                 state_backend_factory=state_backend_factory,
             ),
-            faults=FaultConfig(plan=fault_plan, model=fault_model),
+            faults=FaultConfig(plan=fault_plan),
             peering=peering,
         )
 
@@ -306,11 +305,6 @@ class DomainConfig:
         through here, so invalid combinations fail identically (and with
         the historical messages).
         """
-        if self.faults.model is not None and self.faults.plan is not None:
-            raise ProtocolError(
-                "pass fault_model= or fault_plan=, not both (a FaultModel "
-                "is expressible as a FaultPlan via from_fault_model)"
-            )
         if self.durability.storage is not None and (
             self.durability.evidence_backend_factory is not None
             or self.durability.run_journal_backend_factory is not None
@@ -376,8 +370,7 @@ class DomainConfig:
         if self.transport.network is not None:
             raise ProtocolError(
                 "a wire domain uses the transport's own network; to inject "
-                "faults pass fault_plan= (or fault_model=) instead of a "
-                "SimulatedNetwork"
+                "faults pass fault_plan= instead of a SimulatedNetwork"
             )
         if self.use_timestamping or self.with_arbitrator:
             raise ProtocolError(

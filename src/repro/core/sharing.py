@@ -1602,7 +1602,7 @@ class B2BObjectController:
             if span is not None:
                 span.end("superseded")
             return
-        breaker = getattr(self._coordinator.network, "circuit_breaker", None)
+        breaker = self._coordinator.network.circuit_breaker
         sendable = [
             message
             for peer, message in sorted(pending.items())

@@ -39,7 +39,7 @@ from repro.errors import ProtocolError
 from repro.faults import FaultPlan
 from repro.faults.breaker import STATE_HALF_OPEN, STATE_OPEN
 from repro.persistence.storage import StorageBackend
-from repro.transport.network import DispatchStrategy, FaultModel, SimulatedNetwork
+from repro.transport.network import DispatchStrategy, SimulatedNetwork
 from repro.transport.scheduler import RetryScheduler
 
 __all__ = ["DEFAULT_RELAYED_PROTOCOLS", "DeploymentStyle", "TrustDomain"]
@@ -74,7 +74,6 @@ class TrustDomain:
         party_uris: List[str],
         style: DeploymentStyle = DeploymentStyle.DIRECT,
         network: Optional[SimulatedNetwork] = None,
-        fault_model: Optional[FaultModel] = None,
         clock: Optional[Clock] = None,
         scheme: str = "rsa",
         use_timestamping: bool = False,
@@ -161,15 +160,14 @@ class TrustDomain:
         ``fault_plan`` (a :class:`repro.faults.FaultPlan`) injects seeded
         deterministic faults into message admission on *either* transport:
         simulated domains build their network with it, wire domains install
-        it on the transport's :class:`~repro.transport.wire.WireNetwork`
-        (``fault_model`` is likewise accepted on wire domains, converted via
-        :meth:`FaultPlan.from_fault_model`).  Pass at most one of the two.
+        it on the transport's :class:`~repro.transport.wire.WireNetwork`.
+        Both transports draw the plan through the same network core, so one
+        seed produces one fault sequence on either of them.
         """
         if config is None:
             config = DomainConfig.from_legacy_kwargs(
                 style=style,
                 network=network,
-                fault_model=fault_model,
                 clock=clock,
                 scheme=scheme,
                 use_timestamping=use_timestamping,
@@ -199,7 +197,6 @@ class TrustDomain:
                 for name, (value, default) in {
                     "style": (style, DeploymentStyle.DIRECT),
                     "network": (network, None),
-                    "fault_model": (fault_model, None),
                     "clock": (clock, None),
                     "scheme": (scheme, "rsa"),
                     "use_timestamping": (use_timestamping, False),
@@ -252,7 +249,6 @@ class TrustDomain:
         )
         clock = config.transport.clock or SimulatedClock()
         network = config.transport.network or SimulatedNetwork(
-            fault_model=config.faults.model,
             clock=clock,
             dispatch=config.transport.dispatch,
             fault_plan=config.faults.plan,
@@ -326,10 +322,9 @@ class TrustDomain:
         remote parties are learned through the wire credential exchange
         (pinned keys plus routed coordinator addresses).  The wire carries
         no relayed styles: every party talks to every other directly.  A
-        ``fault_plan`` (or a ``fault_model``, converted to a plan) installs
-        seeded fault injection on the wire network, where injected resets
-        and corrupt frames kill *real* sockets and recover through the real
-        retry machinery.
+        ``fault_plan`` installs seeded fault injection on the wire network,
+        where injected resets and corrupt frames kill *real* sockets and
+        recover through the real retry machinery.
 
         With ``peering`` configured (or peering already enabled on the
         transport), the eager credential exchange with every remote party
@@ -352,15 +347,8 @@ class TrustDomain:
                 f"transport hosts parties outside the domain: {unknown}"
             )
         wire_network = transport.network
-        # Route either fault surface to the wire-side injector: a legacy
-        # FaultModel becomes an equivalent plan, a FaultPlan installs as-is.
-        plan = (
-            FaultPlan.from_fault_model(config.faults.model)
-            if config.faults.model is not None
-            else config.faults.plan
-        )
-        if plan is not None:
-            wire_network.set_fault_plan(plan)
+        if config.faults.plan is not None:
+            wire_network.set_fault_plan(config.faults.plan)
         clock = wire_network.clock
         if config.transport.dispatch is not None:
             wire_network.set_dispatch(config.transport.dispatch)

@@ -2,19 +2,19 @@
 
 A :class:`FaultPlan` is a declarative schedule of faults -- message loss,
 delay with jitter, duplication, reordering, frame corruption, connection
-resets, partition windows and crash-at-failpoint -- that is applied
-*uniformly* behind the two transport injection points:
+resets, partition windows and crash-at-failpoint -- and the only fault
+engine in the package.  Both transports admit messages through the shared
+:class:`~repro.transport.network.NetworkCore`, which draws one
+:class:`FaultInjector` decision per resolved message:
 
-* the :class:`~repro.transport.network.SimulatedNetwork` admits every
-  message through a :class:`FaultInjector` (the legacy
-  :class:`~repro.transport.network.FaultModel` is bridged through the same
-  injector, draw-for-draw compatible with earlier releases);
-* the :class:`~repro.transport.wire.network.WireNetwork` consults an
-  injector at admission and maps the decision onto *real* socket faults
-  (a corrupt frame written to the peer, a reset connection, a skipped
-  round trip), so injected failures flow through the genuine
-  :class:`~repro.errors.DeliveryError` taxonomy and the genuine recovery
-  machinery.
+* the :class:`~repro.transport.network.SimulatedNetwork` realises the
+  decision in process (a lost message never reaches its handler, a
+  duplicate invokes it twice);
+* the :class:`~repro.transport.wire.network.WireNetwork` maps it onto
+  *real* socket faults for remote destinations (a corrupt frame written to
+  the peer, a reset connection, a skipped round trip), so injected
+  failures flow through the genuine :class:`~repro.errors.DeliveryError`
+  taxonomy and the genuine recovery machinery.
 
 Determinism: every probabilistic decision is drawn from one
 :class:`~repro.crypto.rng.SecureRandom` seeded by the plan, in admission
@@ -251,40 +251,6 @@ class FaultPlan:
             name=schedule.get("name", ""),
         )
 
-    @classmethod
-    def from_fault_model(cls, model: Any) -> "FaultPlan":
-        """Lift a legacy :class:`~repro.transport.network.FaultModel`.
-
-        Used when a wired trust domain is given ``fault_model=``: the
-        model's drop/latency/duplicate behaviour becomes an equivalent plan
-        routed to the wire injector.
-        """
-        rules: List[FaultRule] = []
-        if model.drop_probability > 0.0:
-            rules.append(
-                FaultRule(fault="drop", probability=model.drop_probability)
-            )
-        if model.latency_seconds > 0.0 or model.jitter_seconds > 0.0:
-            rules.append(
-                FaultRule(
-                    fault="delay",
-                    latency_seconds=model.latency_seconds,
-                    jitter_seconds=model.jitter_seconds,
-                )
-            )
-        if model.duplicate_probability > 0.0:
-            rules.append(
-                FaultRule(
-                    fault="duplicate", probability=model.duplicate_probability
-                )
-            )
-        return cls(
-            rules=tuple(rules),
-            seed=model.seed if model.seed is not None else b"fault-plan",
-            max_consecutive_failures=model.max_consecutive_drops,
-            name="from-fault-model",
-        )
-
 
 @dataclass(frozen=True)
 class FaultDecision:
@@ -315,45 +281,27 @@ class _RuleState:
 
 
 class FaultInjector:
-    """Per-transport fault decision engine.
+    """Per-transport fault decision engine for one :class:`FaultPlan`.
 
-    Exactly one of ``plan`` / ``model`` is given.  *Model* mode replicates
-    the legacy :class:`~repro.transport.network.FaultModel` math
-    draw-for-draw (same rolls, in the same order, under the same guards),
-    so seeded tests written against earlier releases keep their exact
-    fault sequences.  *Plan* mode evaluates the plan's rules in a fixed
-    kind order -- partition (no draw), then the bounded loss kinds (drop,
-    corrupt, reset), then delay, duplicate and reorder -- drawing one roll
-    per matching probabilistic rule.
+    Evaluates the plan's rules in a fixed kind order -- partition (no
+    draw), then the bounded loss kinds (drop, corrupt, reset), then delay,
+    duplicate and reorder -- drawing one roll per matching rule whose
+    probability is below 1.
 
     Thread-safe; networks call :meth:`decide` under their admission lock,
     server threads may call :meth:`should_trigger` concurrently.
     """
 
-    def __init__(
-        self,
-        plan: Optional[FaultPlan] = None,
-        model: Optional[Any] = None,
-        rng: Optional[SecureRandom] = None,
-    ) -> None:
-        if (plan is None) == (model is None):
-            raise ValueError("pass exactly one of plan= or model=")
+    def __init__(self, plan: FaultPlan, rng: Optional[SecureRandom] = None) -> None:
         self.plan = plan
-        self.model = model
-        seed = plan.seed if plan is not None else model.seed
-        self._rng = rng if rng is not None else SecureRandom(seed)
+        self._rng = rng if rng is not None else SecureRandom(plan.seed)
         self._lock = threading.Lock()
         self._consecutive: Dict[Tuple[str, str], int] = {}
         self._message_index = 0
         self._rule_state: Dict[int, _RuleState] = {}
         self._failpoint_hits: Dict[str, int] = {}
-        if plan is not None:
-            self._by_kind = {
-                kind: plan.rules_for(kind) for kind in FAULT_KINDS
-            }
-            self._has_loss_rules = any(
-                self._by_kind[kind] for kind in LOSS_FAULTS
-            )
+        self._by_kind = {kind: plan.rules_for(kind) for kind in FAULT_KINDS}
+        self._has_loss_rules = any(self._by_kind[kind] for kind in LOSS_FAULTS)
 
     @property
     def message_index(self) -> int:
@@ -369,38 +317,9 @@ class FaultInjector:
     def decide(self, sender: str, destination: str, operation: str) -> FaultDecision:
         """Decide the faults for one admitted message (in admission order)."""
         with self._lock:
-            if self.model is not None:
-                return self._decide_model(sender, destination)
-            return self._decide_plan(sender, destination, operation)
+            return self._decide_locked(sender, destination, operation)
 
-    def _decide_model(self, sender: str, destination: str) -> FaultDecision:
-        # Draw-for-draw replica of the pre-plan SimulatedNetwork fault
-        # logic: drop (guarded by probability > 0 and the consecutive
-        # bound, which resets WITHOUT a draw), then latency (jitter draws
-        # only when configured), then duplication -- and no further draws
-        # once a message is dropped.
-        model = self.model
-        link = (sender, destination)
-        if model.drop_probability > 0.0:
-            consecutive = self._consecutive.get(link, 0)
-            if consecutive >= model.max_consecutive_drops:
-                self._consecutive[link] = 0
-            else:
-                if self._roll() < model.drop_probability:
-                    self._consecutive[link] = consecutive + 1
-                    return FaultDecision(drop=True, reason="injected drop")
-                self._consecutive[link] = 0
-        latency = model.latency_seconds
-        if model.jitter_seconds > 0:
-            latency += self._roll() * model.jitter_seconds
-        duplicate = False
-        if model.duplicate_probability > 0.0:
-            duplicate = self._roll() < model.duplicate_probability
-        if not duplicate and latency == 0.0:
-            return CLEAN_DECISION
-        return FaultDecision(duplicate=duplicate, latency=latency)
-
-    def _decide_plan(
+    def _decide_locked(
         self, sender: str, destination: str, operation: str
     ) -> FaultDecision:
         index = self._message_index
@@ -426,8 +345,8 @@ class FaultInjector:
         # max_consecutive_failures consecutive losses on a link the next
         # message is admitted without any loss draw, guaranteeing eventual
         # delivery for retrying senders (the paper's bounded temporary
-        # failures).  The reset happens BEFORE any draw, mirroring the
-        # legacy model's draw discipline.
+        # failures).  The reset happens BEFORE any draw, so a bounded-out
+        # message spends no roll.
         if self._has_loss_rules:
             consecutive = self._consecutive.get(link, 0)
             if consecutive >= self.plan.max_consecutive_failures:
@@ -500,8 +419,6 @@ class FaultInjector:
         ``until_message`` bound the hit window), never by probability draw,
         so concurrent server threads cannot perturb the admission RNG.
         """
-        if self.plan is None:
-            return False
         with self._lock:
             hits = self._failpoint_hits.get(failpoint, 0)
             self._failpoint_hits[failpoint] = hits + 1

@@ -6,8 +6,8 @@ network with an in-process simulator that exposes exactly the failure model
 the protocols assume (Section 3.1, assumption 2): *eventual message delivery
 with a bounded number of temporary network and computer related failures*.
 
-* :mod:`repro.transport.network` -- endpoints, fault models, delivery,
-  message statistics (used by the communication-overhead benchmarks).
+* :mod:`repro.transport.network` -- endpoints, the network core shared
+  with the wire transport, delivery, message statistics (used by the communication-overhead benchmarks).
 * :mod:`repro.transport.delivery` -- retrying reliable channel.
 * :mod:`repro.transport.scheduler` -- event-driven retry timers and
   delivery futures (backoffs overlap across concurrent protocol runs).
@@ -17,7 +17,6 @@ with a bounded number of temporary network and computer related failures*.
 
 from repro.transport.network import (
     Endpoint,
-    FaultModel,
     Message,
     NetworkPartition,
     NetworkStatistics,
@@ -31,7 +30,6 @@ from repro.transport.scheduler import DeliveryFuture, RetryScheduler, TimerHandl
 __all__ = [
     "DeliveryFuture",
     "Endpoint",
-    "FaultModel",
     "Message",
     "NetworkPartition",
     "NetworkStatistics",

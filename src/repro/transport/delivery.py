@@ -142,8 +142,7 @@ class ReliableChannel:
     # -- circuit breaker ---------------------------------------------------------
     #
     # When the network carries a per-peer CircuitBreaker (see
-    # ``SimulatedNetwork.attach_circuit_breaker`` /
-    # ``WireNetwork.attach_circuit_breaker``), every attempt consults it
+    # ``NetworkCore.attach_circuit_breaker``), every attempt consults it
     # first: an open circuit turns the attempt into a local, retryable
     # refusal -- the retry budget still burns (so exhaustion semantics are
     # unchanged) but no socket is touched and no network attempt counter
@@ -152,12 +151,10 @@ class ReliableChannel:
     # behaviour is byte-identical to earlier releases.
 
     def _refused_by_breaker(self, destination: str) -> Optional[DeliveryError]:
-        breaker = getattr(self._network, "circuit_breaker", None)
+        breaker = self._network.circuit_breaker
         if breaker is None or breaker.allow(destination):
             return None
-        record = getattr(self._network, "record_circuit_refusal", None)
-        if record is not None:
-            record(destination)
+        self._network.record_circuit_refusal(destination)
         return DeliveryError(
             f"circuit for {destination!r} is open; attempt refused locally"
         )
@@ -169,7 +166,7 @@ class ReliableChannel:
         :class:`UnknownEndpointError` and handler-raised exceptions say
         nothing about link health.
         """
-        breaker = getattr(self._network, "circuit_breaker", None)
+        breaker = self._network.circuit_breaker
         if breaker is None:
             return
         if error is None:
@@ -400,7 +397,7 @@ class ReliableChannel:
         Retry grouping matches :meth:`send_batch` exactly -- all
         still-pending entries of one attempt go through a single network
         batch and share one backoff timer -- so attempt accounting, network
-        statistics and fault-model draws are identical to the blocking path.
+        statistics and fault-plan draws are identical to the blocking path.
         Entry futures resolve individually (to the entry's
         :class:`BatchResult`) as soon as their outcome is decided; only the
         still-failing remainder stays in the state machine.

@@ -1,18 +1,23 @@
-"""In-process simulated network.
+"""The network core shared by both transports, and the in-process simulator.
 
 Organisations register :class:`Endpoint` handlers under their address
-(a URI).  Senders deliver :class:`Message` objects through
-:meth:`SimulatedNetwork.send`; the network applies the configured faults
-(message loss, duplication, latency, reordering, partitions) before
-dispatching to the destination handler and accounting the traffic in
-:class:`NetworkStatistics`.
+(a URI).  Senders deliver :class:`Message` objects through ``send`` /
+``send_batch``.  :class:`NetworkCore` implements that contract once for
+every transport: the endpoint table, message ids, the trace recorder and
+:class:`NetworkStatistics`, the circuit-breaker and audit hooks, and one
+admission path -- count the attempt, resolve the destination, consult the
+optional seeded :class:`repro.faults.FaultPlan`, account the outcome --
+followed by the batch's :class:`DispatchStrategy` run.  Because both
+transports admit through the same code, a seeded plan draws the identical
+fault sequence on either of them; with no plan attached no injector is
+consulted at all.
 
-Faults come from either the legacy :class:`FaultModel` (probabilistic
-drop/latency/duplicate, preserved draw-for-draw for seeded tests) or a
-declarative :class:`repro.faults.FaultPlan` -- both are evaluated by one
-:class:`repro.faults.FaultInjector`, the same engine the wire transport
-consults, so a seeded plan produces the identical fault sequence on either
-transport.
+A transport supplies only how a destination resolves
+(:meth:`NetworkCore._route_locked`) and the delivery leg for destinations
+that are not in-process endpoints.  :class:`SimulatedNetwork` resolves
+through its endpoint table and a manual :class:`NetworkPartition`, and
+delivers every message as an in-process handler call;
+:class:`repro.transport.wire.WireNetwork` adds the socket round trip.
 
 The simulation is synchronous: ``send`` returns the handler's reply, which
 keeps protocol code easy to follow while still exercising loss/duplication/
@@ -34,14 +39,14 @@ thread-safe (every store and coordinator in this package is lock-protected).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import codec, parallel
 from repro.clock import Clock, MonotonicCounter, SimulatedClock
 from repro.errors import DeliveryError, UnknownEndpointError
 from repro.faults.breaker import CircuitBreaker
-from repro.faults.plan import FaultDecision, FaultInjector, FaultPlan
+from repro.faults.plan import CLEAN_DECISION, FaultDecision, FaultInjector, FaultPlan
 from repro.observability import tracing as _tracing
 from repro.observability.runtime import STATE as _OBS
 from repro.transport.recorder import MessageTraceRecorder
@@ -140,35 +145,6 @@ class Endpoint:
 
 
 @dataclass
-class FaultModel:
-    """Configurable failure injection.
-
-    ``drop_probability`` and ``duplicate_probability`` apply per send attempt.
-    ``max_consecutive_drops`` enforces the paper's *bounded* failure
-    assumption: after that many consecutive injected drops on a link the next
-    attempt is allowed through, guaranteeing eventual delivery for retrying
-    senders.
-    """
-
-    drop_probability: float = 0.0
-    duplicate_probability: float = 0.0
-    latency_seconds: float = 0.0
-    jitter_seconds: float = 0.0
-    max_consecutive_drops: int = 5
-    seed: Optional[bytes] = None
-
-    def __post_init__(self) -> None:
-        for name in ("drop_probability", "duplicate_probability"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be within [0, 1], got {value}")
-        if self.latency_seconds < 0 or self.jitter_seconds < 0:
-            raise ValueError("latency and jitter must be non-negative")
-        if self.max_consecutive_drops < 0:
-            raise ValueError("max_consecutive_drops must be non-negative")
-
-
-@dataclass
 class NetworkPartition:
     """A set of links that are currently severed."""
 
@@ -247,51 +223,24 @@ class NetworkStatistics:
 
     def snapshot(self) -> "NetworkStatistics":
         """Return a copy of the current counters."""
-        return NetworkStatistics(
-            messages_sent=self.messages_sent,
-            messages_delivered=self.messages_delivered,
-            messages_dropped=self.messages_dropped,
-            messages_duplicated=self.messages_duplicated,
-            messages_reordered=self.messages_reordered,
-            messages_shed=self.messages_shed,
-            frame_decode_failures=self.frame_decode_failures,
-            circuit_open_refusals=self.circuit_open_refusals,
-            bytes_delivered=self.bytes_delivered,
-            messages_sized_by_repr=self.messages_sized_by_repr,
-            total_latency=self.total_latency,
-            per_operation=dict(self.per_operation),
-            attempts_per_destination=dict(self.attempts_per_destination),
-            deliveries_per_destination=dict(self.deliveries_per_destination),
-        )
+        copied = {}
+        for counter in fields(self):
+            value = getattr(self, counter.name)
+            copied[counter.name] = dict(value) if isinstance(value, dict) else value
+        return NetworkStatistics(**copied)
 
     def delta(self, earlier: "NetworkStatistics") -> "NetworkStatistics":
         """Return the difference between this snapshot and ``earlier``."""
-        return NetworkStatistics(
-            messages_sent=self.messages_sent - earlier.messages_sent,
-            messages_delivered=self.messages_delivered - earlier.messages_delivered,
-            messages_dropped=self.messages_dropped - earlier.messages_dropped,
-            messages_duplicated=self.messages_duplicated - earlier.messages_duplicated,
-            messages_reordered=self.messages_reordered - earlier.messages_reordered,
-            messages_shed=self.messages_shed - earlier.messages_shed,
-            frame_decode_failures=(
-                self.frame_decode_failures - earlier.frame_decode_failures
-            ),
-            circuit_open_refusals=(
-                self.circuit_open_refusals - earlier.circuit_open_refusals
-            ),
-            bytes_delivered=self.bytes_delivered - earlier.bytes_delivered,
-            messages_sized_by_repr=(
-                self.messages_sized_by_repr - earlier.messages_sized_by_repr
-            ),
-            total_latency=self.total_latency - earlier.total_latency,
-            per_operation=self._dict_delta(self.per_operation, earlier.per_operation),
-            attempts_per_destination=self._dict_delta(
-                self.attempts_per_destination, earlier.attempts_per_destination
-            ),
-            deliveries_per_destination=self._dict_delta(
-                self.deliveries_per_destination, earlier.deliveries_per_destination
-            ),
-        )
+        changed = {}
+        for counter in fields(self):
+            current = getattr(self, counter.name)
+            before = getattr(earlier, counter.name)
+            changed[counter.name] = (
+                self._dict_delta(current, before)
+                if isinstance(current, dict)
+                else current - before
+            )
+        return NetworkStatistics(**changed)
 
 
 class DispatchStrategy:
@@ -380,48 +329,69 @@ class ParallelDispatch(DispatchStrategy):
             self._own_executor = None
 
 
-class SimulatedNetwork:
-    """The message fabric connecting organisations, TTPs and services."""
+
+
+#: Route returned by :meth:`NetworkCore._route_locked` when a destination can
+#: only be resolved outside the admission lock (e.g. a lazy channel manager
+#: that may perform a credential round trip first).
+ROUTE_OUTSIDE_LOCK = object()
+
+#: One admitted entry: ``(entry index, message, route, fault decision)``.
+Admitted = Tuple[int, Message, Any, FaultDecision]
+
+
+class NetworkCore:
+    """Admission, accounting, fault decisions and dispatch for one transport.
+
+    Every message runs the same steps under the admission lock, in entry
+    order: count the attempt (:meth:`_admit_locked`), resolve the
+    destination (:meth:`_route_locked`), draw the fault decision and
+    account the outcome (:meth:`_decide_locked`).  A failed resolution or
+    an injected loss counts a drop and fails the entry before any handler
+    runs; an offline or unknown destination never draws, so one seeded
+    plan spends its draws identically on every transport.  The admitted
+    deliveries then run outside the lock, through the configured
+    :class:`DispatchStrategy` for a batch.
+
+    A route is either a local :class:`Endpoint`, delivered in process (the
+    handler is invoked directly; an injected duplicate invokes it twice),
+    or a transport-specific target handed to :meth:`_deliver_remote`.
+    Local deliveries are accounted as delivered at admission; a remote leg
+    accounts its own outcome (see :meth:`_account_delivered_locked`).
+    """
 
     def __init__(
         self,
-        fault_model: Optional[FaultModel] = None,
-        clock: Optional[Clock] = None,
+        clock: Clock,
         dispatch: Optional[DispatchStrategy] = None,
-        retry_scheduler: Optional["RetryScheduler"] = None,
+        retry_scheduler: Optional[RetryScheduler] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        if fault_model is not None and fault_plan is not None:
-            raise ValueError("pass either fault_model= or fault_plan=, not both")
-        self.fault_model = fault_model or FaultModel()
-        self.fault_plan = fault_plan
-        self.clock = clock or SimulatedClock()
+        self.clock = clock
         self.dispatch = dispatch or SequentialDispatch()
         #: When set, every :class:`repro.transport.delivery.ReliableChannel`
         #: created on this network defaults to event-driven (scheduled)
         #: retries instead of blocking backoff sleeps.
         self.retry_scheduler = retry_scheduler
-        self.partition = NetworkPartition()
         self.statistics = NetworkStatistics()
         #: Optional per-peer breaker consulted by channels over this network
         #: (see :meth:`attach_circuit_breaker`).
         self.circuit_breaker: Optional[CircuitBreaker] = None
         self.audit_log = None
+        self.fault_plan: Optional[FaultPlan] = None
+        self.fault_injector: Optional[FaultInjector] = None
         self._endpoints: Dict[str, Endpoint] = {}
-        if fault_plan is not None:
-            self._injector = FaultInjector(plan=fault_plan)
-        else:
-            self._injector = FaultInjector(model=self.fault_model)
         self._message_counter = MonotonicCounter(1)
         self._lock = threading.RLock()
         self._recorder = MessageTraceRecorder()
         self.trace_enabled = False
+        self.set_fault_plan(fault_plan)
 
     def set_dispatch(self, dispatch: DispatchStrategy) -> None:
         """Switch the handler-dispatch strategy for subsequent batches."""
         self.dispatch = dispatch
 
-    def set_retry_scheduler(self, scheduler: Optional["RetryScheduler"]) -> None:
+    def set_retry_scheduler(self, scheduler: Optional[RetryScheduler]) -> None:
         """Attach (or detach, with ``None``) the event-driven retry scheduler.
 
         Only channels created after the switch pick the scheduler up; live
@@ -429,10 +399,20 @@ class SimulatedNetwork:
         """
         self.retry_scheduler = scheduler
 
+    def set_fault_plan(self, plan: Optional[FaultPlan]) -> None:
+        """Attach (or, with ``None``, detach) a seeded fault plan.
+
+        Subsequent admissions draw from a fresh injector for ``plan``; with
+        no plan attached, admission consults no injector.
+        """
+        with self._lock:
+            self.fault_plan = plan
+            self.fault_injector = plan.injector() if plan is not None else None
+
     # -- endpoint management ---------------------------------------------------
 
     def register(self, address: str, handler: EndpointHandler) -> Endpoint:
-        """Register (or replace) the handler for ``address``."""
+        """Register (or replace) the local handler for ``address``."""
         with self._lock:
             endpoint = Endpoint(address=address, handler=handler)
             self._endpoints[address] = endpoint
@@ -449,10 +429,14 @@ class SimulatedNetwork:
             raise UnknownEndpointError(f"no endpoint registered at {address!r}") from None
 
     def addresses(self) -> List[str]:
+        """Locally registered endpoint addresses."""
         return sorted(self._endpoints)
 
     def set_online(self, address: str, online: bool) -> None:
-        """Simulate a node crash (``online=False``) or recovery."""
+        """Take a local endpoint down (``online=False``) or bring it back.
+
+        Senders to an offline endpoint get a retryable :class:`DeliveryError`.
+        """
         self.endpoint(address).online = online
 
     # -- fault plane / observability --------------------------------------------
@@ -501,133 +485,120 @@ class SimulatedNetwork:
         except Exception:  # noqa: BLE001 - observability must not break delivery
             pass
 
-    # -- sending ----------------------------------------------------------------
+    # -- admission ----------------------------------------------------------------
 
-    def _admit_locked(self, message: Message) -> Tuple[Endpoint, FaultDecision]:
-        """Account and fault-check one message; caller must hold the lock.
+    def _route_locked(self, message: Message) -> Any:
+        """Resolve ``message``'s destination; caller holds the lock.
 
-        Returns ``(endpoint, decision)`` on admission; raises
-        :class:`DeliveryError` / :class:`UnknownEndpointError` on loss.  All
-        statistics -- including the duplicate counter -- are taken here, under
-        the lock and before any handler runs, so accounting is identical for
-        ``send`` and ``send_batch`` and independent of the dispatch strategy.
-        The decision's latency is *paid* by the caller during dispatch,
-        outside the lock, so concurrent deliveries of a parallel batch
-        overlap their link latency instead of serialising it through
-        admission.
+        The default resolves through the local endpoint table.  Raises
+        :class:`UnknownEndpointError` (permanent) or :class:`DeliveryError`
+        (retryable, e.g. an offline endpoint); transports override this to
+        add their own destinations, or return :data:`ROUTE_OUTSIDE_LOCK` to
+        finish resolution in :meth:`_route_outside_lock`.
         """
-        sender, destination = message.sender, message.destination
-        self.statistics.messages_sent += 1
-        self.statistics.per_operation[message.operation] = (
-            self.statistics.per_operation.get(message.operation, 0) + 1
+        endpoint = self._endpoints.get(message.destination)
+        if endpoint is None:
+            raise UnknownEndpointError(
+                f"no endpoint registered at {message.destination!r}"
+            )
+        if not endpoint.online:
+            raise DeliveryError(f"endpoint {message.destination!r} is offline")
+        return endpoint
+
+    def _route_outside_lock(self, message: Message) -> Any:
+        """Finish a resolution deferred by :meth:`_route_locked` (may block)."""
+        raise NotImplementedError
+
+    def _admit_locked(self, message: Message) -> Any:
+        """Count one send attempt and resolve its route; caller holds the lock.
+
+        A failed resolution counts as a drop and raises.
+        """
+        stats = self.statistics
+        stats.messages_sent += 1
+        stats.per_operation[message.operation] = (
+            stats.per_operation.get(message.operation, 0) + 1
         )
-        self.statistics.attempts_per_destination[destination] = (
-            self.statistics.attempts_per_destination.get(destination, 0) + 1
+        stats.attempts_per_destination[message.destination] = (
+            stats.attempts_per_destination.get(message.destination, 0) + 1
         )
         if self.trace_enabled:
             self._recorder.record(message)
+        try:
+            return self._route_locked(message)
+        except (DeliveryError, UnknownEndpointError):
+            stats.messages_dropped += 1
+            raise
 
-        if self.partition.is_severed(sender, destination):
-            self.statistics.messages_dropped += 1
-            raise DeliveryError(f"link {sender!r} -> {destination!r} is partitioned")
-        endpoint = self._endpoints.get(destination)
-        if endpoint is None:
-            self.statistics.messages_dropped += 1
-            raise UnknownEndpointError(f"no endpoint registered at {destination!r}")
-        if not endpoint.online:
-            self.statistics.messages_dropped += 1
-            raise DeliveryError(f"endpoint {destination!r} is offline")
+    def _decide_locked(self, message: Message, route: Any) -> FaultDecision:
+        """Draw the fault decision for a resolved message and account it.
 
-        decision = self._injector.decide(sender, destination, message.operation)
+        Injected drops and partition windows destroy the message here.
+        Corrupt frames and resets do too for a local endpoint; a remote leg
+        performs them on its real connection instead.  The decision's
+        latency is *paid* by the delivery leg, outside the lock, so the
+        deliveries of a parallel batch overlap their link latency.
+        """
+        injector = self.fault_injector
+        if injector is None:
+            decision = CLEAN_DECISION
+        else:
+            decision = injector.decide(
+                message.sender, message.destination, message.operation
+            )
+        local = isinstance(route, Endpoint)
+        stats = self.statistics
+        if decision.drop or decision.partitioned or (local and decision.lost):
+            stats.messages_dropped += 1
+            raise self._loss_error(message, decision)
+        if decision is not CLEAN_DECISION:
+            stats.total_latency += decision.latency
+            if decision.duplicate:
+                stats.messages_duplicated += 1
+            if decision.reorder:
+                stats.messages_reordered += 1
+        if local:
+            self._account_delivered_locked(message)
+        return decision
+
+    @staticmethod
+    def _loss_error(message: Message, decision: FaultDecision) -> DeliveryError:
         if decision.partitioned:
-            self.statistics.messages_dropped += 1
-            raise DeliveryError(
-                f"link {sender!r} -> {destination!r} severed by fault plan: "
-                f"{decision.reason}"
+            return DeliveryError(
+                f"link {message.sender!r} -> {message.destination!r} severed "
+                f"by fault plan: {decision.reason}"
             )
-        if decision.drop:
-            self.statistics.messages_dropped += 1
-            raise DeliveryError(
-                f"message {message.message_id} from {sender!r} to "
-                f"{destination!r} was lost"
-            )
-        if decision.corrupt:
-            self.statistics.messages_dropped += 1
-            raise DeliveryError(
-                f"message {message.message_id} from {sender!r} to "
-                f"{destination!r} was corrupted in transit"
-            )
-        if decision.reset:
-            self.statistics.messages_dropped += 1
-            raise DeliveryError(
-                f"connection {sender!r} -> {destination!r} was reset by "
-                "fault injection"
-            )
-
-        self.statistics.total_latency += decision.latency
-        self.statistics.messages_delivered += 1
-        self.statistics.deliveries_per_destination[destination] = (
-            self.statistics.deliveries_per_destination.get(destination, 0) + 1
+        return DeliveryError(
+            f"message {message.message_id} from {message.sender!r} to "
+            f"{message.destination!r} was lost ({decision.reason})"
         )
-        self.statistics.bytes_delivered += message.encoded_size()
+
+    def _account_delivered_locked(self, message: Message) -> None:
+        stats = self.statistics
+        stats.messages_delivered += 1
+        stats.deliveries_per_destination[message.destination] = (
+            stats.deliveries_per_destination.get(message.destination, 0) + 1
+        )
+        stats.bytes_delivered += message.encoded_size()
         if message.sizing == SIZING_REPR:
-            self.statistics.messages_sized_by_repr += 1
+            stats.messages_sized_by_repr += 1
 
-        if decision.duplicate:
-            self.statistics.messages_duplicated += 1
-        if decision.reorder:
-            self.statistics.messages_reordered += 1
-        return endpoint, decision
+    def _admit(
+        self,
+        sender: str,
+        entries: List[Tuple[str, str, Any]],
+        results: List[BatchResult],
+    ) -> List[Admitted]:
+        """Admit a wave of ``(destination, operation, payload)`` entries.
 
-    def send(self, sender: str, destination: str, operation: str, payload: Any) -> Any:
-        """Deliver a message and return the destination handler's reply.
-
-        Raises :class:`DeliveryError` when the message is lost (injected drop,
-        partitioned link or offline destination).  Callers needing guaranteed
-        delivery wrap sends in a :class:`repro.transport.delivery.ReliableChannel`.
+        Attempts are counted and resolved in entry order under one lock
+        pass; deferred resolutions then run outside the lock, and the fault
+        draws happen afterwards in entry order, so the draw sequence does
+        not depend on how destinations resolve.  Failed entries get their
+        error in ``results``.
         """
-        with self._lock:
-            message = Message(
-                sender=sender,
-                destination=destination,
-                operation=operation,
-                payload=payload,
-                message_id=self._message_counter.next(),
-            )
-            if _OBS.tracing is not None:
-                message.trace = _tracing.current_ctx()
-            endpoint, decision = self._admit_locked(message)
-
-        # Dispatch outside the lock so handlers can themselves send messages.
-        # The handler runs on the calling thread, where the message's span
-        # context (if any) is already ambient -- no activation needed here.
-        self.clock.sleep(decision.latency)
-        if decision.duplicate:
-            endpoint.handler(message)
-        return endpoint.handler(message)
-
-    def send_batch(
-        self, sender: str, entries: List[Tuple[str, str, Any]]
-    ) -> List[BatchResult]:
-        """Deliver a fan-out of messages, accounting each exactly like ``send``.
-
-        ``entries`` is a list of ``(destination, operation, payload)``
-        triples.  Payloads that share pre-canonicalised content (tokens,
-        proposal bodies) are sized from their cached encodings, so the shared
-        body is never re-encoded per recipient; per-message statistics
-        (``messages_sent``, ``bytes_delivered``, ``per_operation``) are
-        identical to an equivalent sequence of individual sends.  Admission
-        and accounting happen under one lock acquisition, in entry order;
-        the admitted handlers are then executed outside the lock by the
-        configured :class:`DispatchStrategy` (in entry order under
-        :class:`SequentialDispatch`, concurrently under
-        :class:`ParallelDispatch`).  Failures are returned per entry
-        (:class:`BatchResult`) rather than raised, so one lost link never
-        masks the remaining deliveries.
-        """
-        admitted: List[Tuple[int, Message, Endpoint, FaultDecision]] = []
-        results: List[BatchResult] = [BatchResult() for _ in entries]
         trace_ctx = _tracing.current_ctx() if _OBS.tracing is not None else None
+        staged = []
         with self._lock:
             for index, (destination, operation, payload) in enumerate(entries):
                 message = Message(
@@ -639,12 +610,71 @@ class SimulatedNetwork:
                     trace=trace_ctx,
                 )
                 try:
-                    endpoint, decision = self._admit_locked(message)
+                    staged.append((index, message, self._admit_locked(message)))
                 except (DeliveryError, UnknownEndpointError) as error:
                     results[index].error = error
+            if all(route is not ROUTE_OUTSIDE_LOCK for _, _, route in staged):
+                return self._decide_staged_locked(staged, results)
+        resolved = []
+        for index, message, route in staged:
+            if route is ROUTE_OUTSIDE_LOCK:
+                try:
+                    route = self._route_outside_lock(message)
+                except (DeliveryError, UnknownEndpointError) as error:
+                    with self._lock:
+                        self.statistics.messages_dropped += 1
+                    results[index].error = error
                     continue
-                admitted.append((index, message, endpoint, decision))
+            resolved.append((index, message, route))
+        with self._lock:
+            return self._decide_staged_locked(resolved, results)
 
+    def _decide_staged_locked(
+        self, staged: List[Tuple[int, Message, Any]], results: List[BatchResult]
+    ) -> List[Admitted]:
+        admitted = []
+        for index, message, route in staged:
+            try:
+                decision = self._decide_locked(message, route)
+            except DeliveryError as error:
+                results[index].error = error
+                continue
+            admitted.append((index, message, route, decision))
+        return admitted
+
+    # -- delivery -----------------------------------------------------------------
+
+    def _deliver(self, route: Any, message: Message, decision: FaultDecision) -> Any:
+        """Run one admitted delivery and return the handler's reply."""
+        if not isinstance(route, Endpoint):
+            return self._deliver_remote(route, message, decision)
+        if decision.latency:
+            self.clock.sleep(decision.latency)
+        # Batch dispatch may hop threads: restore the sender's span context
+        # around the handler so responder spans stay parented to the run.
+        if decision.duplicate:
+            _tracing.call_in_ctx(message.trace, route.handler, message)
+        return _tracing.call_in_ctx(message.trace, route.handler, message)
+
+    def _deliver_remote(
+        self, route: Any, message: Message, decision: FaultDecision
+    ) -> Any:
+        """The transport's delivery leg for a non-local route."""
+        raise NotImplementedError
+
+    def _send(self, sender: str, destination: str, operation: str, payload: Any) -> Any:
+        result = BatchResult()
+        admitted = self._admit(sender, [(destination, operation, payload)], [result])
+        if not admitted:
+            raise result.error
+        _, message, route, decision = admitted[0]
+        return self._deliver(route, message, decision)
+
+    def _send_batch(
+        self, sender: str, entries: List[Tuple[str, str, Any]]
+    ) -> List[BatchResult]:
+        results = [BatchResult() for _ in entries]
+        admitted = self._admit(sender, entries, results)
         # Injected reordering: flagged entries are deferred behind the rest
         # of the wave (a stable shuffle, so the fault sequence stays
         # deterministic).  Statistics were taken at admission in entry order
@@ -655,25 +685,11 @@ class SimulatedNetwork:
             ]
 
         def make_unit(
-            index: int,
-            message: Message,
-            endpoint: Endpoint,
-            decision: FaultDecision,
+            index: int, message: Message, route: Any, decision: FaultDecision
         ) -> Callable[[], None]:
-            def invoke() -> Any:
-                if decision.duplicate:
-                    endpoint.handler(message)
-                return endpoint.handler(message)
-
             def unit() -> None:
                 try:
-                    self.clock.sleep(decision.latency)
-                    # Parallel dispatch may hop threads: restore the sender's
-                    # span context around the handler so responder spans stay
-                    # parented to the run.
-                    results[index].result = _tracing.call_in_ctx(
-                        message.trace, invoke
-                    )
+                    results[index].result = self._deliver(route, message, decision)
                 except Exception as error:  # per-entry isolation, mirrors
                     results[index].error = error  # callers' per-peer semantics
 
@@ -686,7 +702,7 @@ class SimulatedNetwork:
 
     @property
     def trace(self) -> List[Message]:
-        """Recorded messages (only populated when ``trace_enabled`` is set)."""
+        """Originated messages (only populated when ``trace_enabled`` is set)."""
         return self._recorder.messages()
 
     def clear_trace(self) -> None:
@@ -698,3 +714,56 @@ class SimulatedNetwork:
 
     def reset_statistics(self) -> None:
         self.statistics = NetworkStatistics()
+
+
+class SimulatedNetwork(NetworkCore):
+    """The in-process message fabric connecting organisations, TTPs and services.
+
+    Destinations resolve through the endpoint table, subject to the manual
+    :attr:`partition`; every delivery is an in-process handler call.
+    """
+
+    def __init__(
+        self,
+        clock: Optional[Clock] = None,
+        dispatch: Optional[DispatchStrategy] = None,
+        retry_scheduler: Optional[RetryScheduler] = None,
+        fault_plan: Optional[FaultPlan] = None,
+    ) -> None:
+        super().__init__(clock or SimulatedClock(), dispatch, retry_scheduler, fault_plan)
+        self.partition = NetworkPartition()
+
+    def _route_locked(self, message: Message) -> Endpoint:
+        if self.partition.is_severed(message.sender, message.destination):
+            raise DeliveryError(
+                f"link {message.sender!r} -> {message.destination!r} is partitioned"
+            )
+        return super()._route_locked(message)
+
+    def send(self, sender: str, destination: str, operation: str, payload: Any) -> Any:
+        """Deliver a message and return the destination handler's reply.
+
+        Raises :class:`DeliveryError` when the message is lost (injected
+        fault, partitioned link or offline destination) and
+        :class:`UnknownEndpointError` for an unregistered destination.
+        Callers needing guaranteed delivery wrap sends in a
+        :class:`repro.transport.delivery.ReliableChannel`.
+        """
+        return self._send(sender, destination, operation, payload)
+
+    def send_batch(
+        self, sender: str, entries: List[Tuple[str, str, Any]]
+    ) -> List[BatchResult]:
+        """Deliver a fan-out of messages, accounting each exactly like ``send``.
+
+        ``entries`` is a list of ``(destination, operation, payload)``
+        triples.  Payloads that share pre-canonicalised content (tokens,
+        proposal bodies) are sized from their cached encodings, so the shared
+        body is never re-encoded per recipient; per-message statistics are
+        identical to an equivalent sequence of individual sends.  The
+        admitted handlers run through the configured
+        :class:`DispatchStrategy`.  Failures are returned per entry
+        (:class:`BatchResult`) rather than raised, so one lost link never
+        masks the remaining deliveries.
+        """
+        return self._send_batch(sender, entries)

@@ -9,13 +9,16 @@ sends to endpoints hosted elsewhere through a per-peer
 destination process via a :class:`~repro.transport.wire.peers.
 PeerAddressBook`.
 
-The class exposes the same ``register`` / ``send`` / ``send_batch`` surface
-(and the same :class:`~repro.transport.network.NetworkStatistics`,
-``clock``, ``retry_scheduler`` and dispatch-strategy attachment points) as
-the simulator, so every layer above -- :class:`~repro.transport.delivery.
-ReliableChannel` state machines, :class:`~repro.transport.scheduler.
-RetryScheduler` futures, :class:`~repro.transport.network.ParallelDispatch`,
-the async run engine -- works unchanged on real sockets.
+The admission path, statistics, fault decisions, breaker and audit hooks,
+trace recorder and batch dispatch are the simulator's own:
+:class:`WireNetwork` is a :class:`~repro.transport.network.NetworkCore`
+that adds only its destination resolution (local endpoint table, then the
+peer address book or a lazy peer channel manager), the socket delivery
+leg, and the node's serving and system traffic.  So every layer above --
+:class:`~repro.transport.delivery.ReliableChannel` state machines,
+:class:`~repro.transport.scheduler.RetryScheduler` futures,
+:class:`~repro.transport.network.ParallelDispatch`, the async run engine --
+works unchanged on real sockets.
 
 Invariants preserved relative to the simulator:
 
@@ -35,49 +38,42 @@ Invariants preserved relative to the simulator:
   was counted -- exactly the simulator's semantics, which is what keeps the
   retry state machines' recovery behaviour identical.
 * **Local fast path.**  A destination registered on *this* node is invoked
-  in process (no socket), like the simulator would; only genuinely remote
-  destinations pay a frame round trip.
+  in process (no socket), exactly as on the simulator; only genuinely
+  remote destinations pay a frame round trip.
 
 Fault injection: a seeded :class:`repro.faults.FaultPlan` attached via
-``fault_plan=`` (or :meth:`WireNetwork.set_fault_plan`) is consulted at
-admission by the same :class:`repro.faults.FaultInjector` engine the
-simulator uses -- but here the decisions are realised as *real* transport
-faults: a drop skips the round trip, a corrupt frame or injected reset is
-performed on the actual socket (see
+``fault_plan=`` (or :meth:`WireNetwork.set_fault_plan`) is drawn at
+admission by the shared core, so the draw sequence equals the simulator's
+for the same traffic.  For a remote destination the decision is realised
+as a *real* transport fault: a drop skips the round trip, a corrupt frame
+or injected reset is performed on the actual socket (see
 :meth:`~repro.transport.wire.connection.ConnectionPool.request`), a
-duplicate performs the exchange twice, and crash rules fire the server's
+duplicate performs the exchange twice, and crash rules fire the node's
 :class:`~repro.faults.FailpointRegistry`.  Every injected failure flows
 through the organic :class:`~repro.errors.DeliveryError` taxonomy, so the
 recovery machinery exercised under chaos is exactly the machinery
-production traffic relies on.  With no plan attached behaviour is
-byte-identical to earlier releases; the wire's organic faults (kill a
-connection, stop a peer) remain available regardless.
+production traffic relies on.  The wire's organic faults (kill a
+connection, stop a peer) remain available with or without a plan.
 """
 
 from __future__ import annotations
 
-import threading
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.clock import Clock, MonotonicCounter, SystemClock
 from repro.errors import DeliveryError, UnknownEndpointError
-from repro.faults.breaker import CircuitBreaker
 from repro.faults.failpoints import VERB_CLOSE, FailpointRegistry
 from repro.faults.plan import FaultDecision, FaultPlan
 from repro.observability import tracing as _tracing
 from repro.observability.runtime import STATE as _OBS
 from repro.transport.network import (
-    AUDIT_CATEGORY_TRANSPORT,
+    ROUTE_OUTSIDE_LOCK,
     BatchResult,
     DispatchStrategy,
-    Endpoint,
-    EndpointHandler,
     Message,
-    NetworkStatistics,
-    SequentialDispatch,
+    NetworkCore,
 )
-from repro.transport.recorder import MessageTraceRecorder
 from repro.transport.scheduler import RetryScheduler
 from repro.transport.wire import wirecodec
 from repro.transport.wire.connection import ConnectionPool
@@ -110,7 +106,7 @@ FAILPOINT_CLIENT_BEFORE_SEND = "client-before-send"
 FAILPOINT_CLIENT_AFTER_SEND = "client-after-send"
 
 
-class WireNetwork:
+class WireNetwork(NetworkCore):
     """One node of a socket-connected deployment."""
 
     def __init__(
@@ -126,24 +122,14 @@ class WireNetwork:
         fault_plan: Optional[FaultPlan] = None,
         max_inflight_frames: Optional[int] = None,
     ) -> None:
-        self.clock = clock or SystemClock()
-        self.dispatch = dispatch or SequentialDispatch()
-        self.retry_scheduler = retry_scheduler
-        self.address_book = address_book or PeerAddressBook()
-        self.statistics = NetworkStatistics()
-        self.pool = connection_pool or ConnectionPool()
         #: Named failpoints the serve loop fires; armed explicitly or by a
         #: fault plan's ``crash`` rules.
         self.failpoints = FailpointRegistry()
-        self.fault_plan: Optional[FaultPlan] = None
-        self.fault_injector = None
-        #: Optional per-peer breaker consulted by channels over this node
-        #: (see :meth:`attach_circuit_breaker`).
-        self.circuit_breaker: Optional[CircuitBreaker] = None
+        super().__init__(clock or SystemClock(), dispatch, retry_scheduler, fault_plan)
+        self.address_book = address_book or PeerAddressBook()
+        self.pool = connection_pool or ConnectionPool()
         #: Optional lazy channel manager (see :meth:`attach_peer_manager`).
         self.peer_manager = None
-        self.audit_log = None
-        self._endpoints: Dict[str, Endpoint] = {}
         # ``system_handlers`` passed here are installed BEFORE the server
         # starts accepting: on a fixed port, a fast peer's first frame can
         # land the instant the listener is up, and it must find the node's
@@ -151,14 +137,8 @@ class WireNetwork:
         self._system_handlers: Dict[str, Callable[[Any], Any]] = dict(
             system_handlers or {}
         )
-        self._lock = threading.RLock()
-        self._message_counter = MonotonicCounter(1)
         self._seq = MonotonicCounter(1)
-        self._recorder = MessageTraceRecorder()
-        self.trace_enabled = False
         self._closed = False
-        if fault_plan is not None:
-            self.set_fault_plan(fault_plan)
         self.server = WireServer(
             self._serve_frame,
             host=host,
@@ -179,43 +159,6 @@ class WireNetwork:
     def port(self) -> int:
         return self.server.port
 
-    def set_dispatch(self, dispatch: DispatchStrategy) -> None:
-        """Switch the handler-dispatch strategy for subsequent batches."""
-        self.dispatch = dispatch
-
-    def set_retry_scheduler(self, scheduler: Optional[RetryScheduler]) -> None:
-        """Attach (or detach) the event-driven retry scheduler (see simulator)."""
-        self.retry_scheduler = scheduler
-
-    # -- endpoint management -------------------------------------------------------
-
-    def register(self, address: str, handler: EndpointHandler) -> Endpoint:
-        """Register (or replace) the local handler for ``address``."""
-        with self._lock:
-            endpoint = Endpoint(address=address, handler=handler)
-            self._endpoints[address] = endpoint
-            return endpoint
-
-    def unregister(self, address: str) -> None:
-        with self._lock:
-            self._endpoints.pop(address, None)
-
-    def endpoint(self, address: str) -> Endpoint:
-        try:
-            return self._endpoints[address]
-        except KeyError:
-            raise UnknownEndpointError(
-                f"no endpoint registered at {address!r} on this node"
-            ) from None
-
-    def addresses(self) -> List[str]:
-        """Locally hosted endpoint addresses."""
-        return sorted(self._endpoints)
-
-    def set_online(self, address: str, online: bool) -> None:
-        """Take a *local* endpoint down (or back up); peers see DeliveryError."""
-        self.endpoint(address).online = online
-
     def register_system_handler(self, operation: str, handler: Callable[[Any], Any]) -> None:
         """Serve ``operation`` on the node's reserved system destination."""
         with self._lock:
@@ -224,23 +167,20 @@ class WireNetwork:
     # -- fault plane / observability -----------------------------------------------
 
     def set_fault_plan(self, plan: Optional[FaultPlan]) -> None:
-        """Attach (or, with ``None``, detach) a seeded fault plan.
+        """Attach (or detach) a seeded fault plan (see the core).
 
-        Subsequent admissions consult the plan's injector; its ``crash``
-        rules are routed through :attr:`failpoints` so the serve loop fires
-        them deterministically.  System traffic (credential exchange, peer
-        introduction) is never faulted -- it is unaccounted infrastructure,
-        exactly as on the simulator.
+        The plan's ``crash`` rules are also routed through
+        :attr:`failpoints`, so the serve loop fires them deterministically.
+        System traffic (credential exchange, peer introduction) is never
+        faulted -- it is unaccounted infrastructure, as on the simulator.
         """
-        with self._lock:
-            self.fault_plan = plan
-            self.fault_injector = plan.injector() if plan is not None else None
+        super().set_fault_plan(plan)
         self.failpoints.bind_injector(self.fault_injector)
 
     def attach_audit_log(self, audit_log) -> None:
         """Route transport-level events (breaker transitions, shedding,
-        frame-decode failures) to ``audit_log`` under ``"transport"``."""
-        self.audit_log = audit_log
+        frame-decode failures, channel evictions) to ``audit_log``."""
+        super().attach_audit_log(audit_log)
         if self.peer_manager is not None:
             self.peer_manager.attach_audit_log(audit_log)
 
@@ -258,40 +198,6 @@ class WireNetwork:
         self.peer_manager = manager
         if self.audit_log is not None:
             manager.attach_audit_log(self.audit_log)
-
-    def attach_circuit_breaker(self, breaker: CircuitBreaker) -> None:
-        """Install a per-peer breaker; channels over this node consult it."""
-        breaker.bind(clock=self.clock, on_event=self._on_breaker_event)
-        self.circuit_breaker = breaker
-
-    def record_circuit_refusal(self, destination: str) -> None:
-        """Count one locally-refused attempt (open circuit) for statistics."""
-        with self._lock:
-            self.statistics.circuit_open_refusals += 1
-
-    def _on_breaker_event(
-        self, destination: str, old_state: str, new_state: str, reason: str
-    ) -> None:
-        self._audit(
-            destination,
-            {
-                "event": "circuit-breaker-transition",
-                "from": old_state,
-                "to": new_state,
-                "reason": reason,
-            },
-        )
-
-    def _audit(self, subject: str, details: Dict[str, Any]) -> None:
-        log = self.audit_log
-        if log is None:
-            return
-        try:
-            log.append(
-                category=AUDIT_CATEGORY_TRANSPORT, subject=subject, details=details
-            )
-        except Exception:  # noqa: BLE001 - observability must not break serving
-            pass
 
     def _on_frame_error(self, error: Exception) -> None:
         """An inbound frame failed to decode; the connection is being killed.
@@ -337,89 +243,22 @@ class WireNetwork:
 
     # -- sending -------------------------------------------------------------------
 
-    def _admit_locked(self, message: Message) -> None:
-        """Sender-side admission accounting, identical for send and send_batch."""
-        self.statistics.messages_sent += 1
-        self.statistics.per_operation[message.operation] = (
-            self.statistics.per_operation.get(message.operation, 0) + 1
-        )
-        self.statistics.attempts_per_destination[message.destination] = (
-            self.statistics.attempts_per_destination.get(message.destination, 0) + 1
-        )
-        if self.trace_enabled:
-            self._recorder.record(message)
+    def _route_locked(self, message: Message) -> Any:
+        """A local endpoint, else the peer process hosting the destination.
 
-    def _decide_locked(self, message: Message) -> Optional[FaultDecision]:
-        """Consult the fault injector for one admitted message.
-
-        Called under the admission lock, in entry order, so the draw
-        sequence is deterministic -- and identical to the simulator's for
-        the same traffic, which is what the cross-transport chaos suite
-        leans on.  Duplicate/reorder counters are taken here, mirroring the
-        simulator's admission accounting.
+        With a lazy channel manager attached, a remote destination resolves
+        outside the admission lock (its first touch may perform a credential
+        round trip); retryable resolver failures surface as
+        :class:`DeliveryError`, unknown peers as :class:`UnknownEndpointError`.
         """
-        if self.fault_injector is None:
-            return None
-        decision = self.fault_injector.decide(
-            message.sender, message.destination, message.operation
-        )
-        if decision.duplicate:
-            self.statistics.messages_duplicated += 1
-        if decision.reorder:
-            self.statistics.messages_reordered += 1
-        if decision.latency:
-            self.statistics.total_latency += decision.latency
-        return decision
+        if message.destination in self._endpoints:
+            return super()._route_locked(message)
+        if self.peer_manager is not None:
+            return ROUTE_OUTSIDE_LOCK
+        return self.address_book.resolve(message.destination)
 
-    def _loss_error(self, message: Message, decision: FaultDecision) -> DeliveryError:
-        if decision.partitioned:
-            return DeliveryError(
-                f"link {message.sender!r} -> {message.destination!r} severed "
-                f"by fault plan: {decision.reason}"
-            )
-        return DeliveryError(
-            f"message {message.message_id} from {message.sender!r} to "
-            f"{message.destination!r} was lost ({decision.reason})"
-        )
-
-    def _account_delivered_locked(self, message: Message) -> None:
-        self.statistics.messages_delivered += 1
-        self.statistics.deliveries_per_destination[message.destination] = (
-            self.statistics.deliveries_per_destination.get(message.destination, 0) + 1
-        )
-        self.statistics.bytes_delivered += message.encoded_size()
-        if message.sizing == "repr":
-            self.statistics.messages_sized_by_repr += 1
-
-    def _deliver_local(
-        self,
-        endpoint: Endpoint,
-        message: Message,
-        decision: Optional[FaultDecision] = None,
-    ) -> Any:
-        """Deliver to an endpoint hosted on this node (no socket).
-
-        Injected losses (drop / corrupt / reset / partition window) destroy
-        the message before the handler, exactly like on the simulator; a
-        duplicate invokes the handler twice.
-        """
-        if decision is not None and decision.lost:
-            with self._lock:
-                self.statistics.messages_dropped += 1
-            raise self._loss_error(message, decision)
-        with self._lock:
-            if not endpoint.online:
-                self.statistics.messages_dropped += 1
-                raise DeliveryError(f"endpoint {message.destination!r} is offline")
-            self._account_delivered_locked(message)
-        if decision is not None:
-            if decision.latency:
-                self.clock.sleep(decision.latency)
-            if decision.duplicate:
-                _tracing.call_in_ctx(message.trace, endpoint.handler, message)
-        # Batch dispatch may hop threads: restore the sender's span context
-        # around the handler so responder spans stay parented to the run.
-        return _tracing.call_in_ctx(message.trace, endpoint.handler, message)
+    def _route_outside_lock(self, message: Message) -> HostPort:
+        return self.peer_manager.resolve(message.destination)
 
     def _round_trip(
         self,
@@ -483,42 +322,37 @@ class WireNetwork:
         self,
         hostport: HostPort,
         message: Message,
-        decision: Optional[FaultDecision] = None,
+        decision: FaultDecision,
     ) -> Any:
         """Deliver across a socket; accounting resolves on the reply.
 
-        Injected faults are realised here: a drop (or partition window)
-        skips the round trip and counts the loss; corrupt-frame and reset
-        decisions are performed on the real socket by the pool; a duplicate
-        performs a best-effort extra exchange first (same ``message_id``, so
-        receivers exercise their duplicate suppression) with the primary
-        exchange deciding the outcome.
+        Injected faults are realised here (drops and partition windows
+        already failed at admission): corrupt-frame and reset decisions are
+        performed on the real socket by the pool; a duplicate performs a
+        best-effort extra exchange first (same ``message_id``, so receivers
+        exercise their duplicate suppression) with the primary exchange
+        deciding the outcome.
         """
         fault = None
-        if decision is not None:
-            if decision.drop or decision.partitioned:
-                with self._lock:
-                    self.statistics.messages_dropped += 1
-                raise self._loss_error(message, decision)
-            if decision.latency:
-                self.clock.sleep(decision.latency)
-            if decision.corrupt:
-                fault = "corrupt-frame"
-            elif decision.reset:
-                fault = "reset"
-            elif decision.duplicate:
-                try:
-                    self._round_trip(
-                        hostport,
-                        message.sender,
-                        message.destination,
-                        message.operation,
-                        message.payload,
-                        message.message_id,
-                        trace=message.trace,
-                    )
-                except Exception:  # noqa: BLE001 - the duplicate leg is
-                    pass  # best-effort; the primary leg decides the outcome
+        if decision.latency:
+            self.clock.sleep(decision.latency)
+        if decision.corrupt:
+            fault = "corrupt-frame"
+        elif decision.reset:
+            fault = "reset"
+        elif decision.duplicate:
+            try:
+                self._round_trip(
+                    hostport,
+                    message.sender,
+                    message.destination,
+                    message.operation,
+                    message.payload,
+                    message.message_id,
+                    trace=message.trace,
+                )
+            except Exception:  # noqa: BLE001 - the duplicate leg is
+                pass  # best-effort; the primary leg decides the outcome
         # Client-side crash failpoint, pre-send: a plan's crash rule (or an
         # armed callable, which may SIGKILL this process) fires with the
         # message still unsent -- the peer never sees it.
@@ -575,14 +409,6 @@ class WireNetwork:
                 self.statistics.messages_dropped += 1
         raise error
 
-    def _resolve(self, destination: str) -> Tuple[Optional[Endpoint], Optional[HostPort]]:
-        """Map a destination to a local endpoint or a peer process."""
-        with self._lock:
-            endpoint = self._endpoints.get(destination)
-        if endpoint is not None:
-            return endpoint, None
-        return None, self.address_book.resolve(destination)
-
     def send(self, sender: str, destination: str, operation: str, payload: Any) -> Any:
         """Deliver a message and return the destination handler's reply.
 
@@ -591,201 +417,18 @@ class WireNetwork:
         when no node hosts the destination; callers needing guaranteed
         delivery wrap sends in a :class:`ReliableChannel`.
         """
-        message = Message(
-            sender=sender,
-            destination=destination,
-            operation=operation,
-            payload=payload,
-            message_id=self._message_counter.next(),
-        )
-        if _OBS.tracing is not None:
-            message.trace = _tracing.current_ctx()
-        if self.peer_manager is not None:
-            return self._send_via_manager(message)
-        with self._lock:
-            self._admit_locked(message)
-            try:
-                endpoint, hostport = self._resolve(destination)
-            except UnknownEndpointError:
-                self.statistics.messages_dropped += 1
-                raise
-            # Decide AFTER the endpoint resolves (unknown destinations draw
-            # no faults), matching the simulator's admission order so seeded
-            # draw sequences stay identical across transports.
-            decision = self._decide_locked(message)
-        if endpoint is not None:
-            return self._deliver_local(endpoint, message, decision)
-        return self._deliver_remote(hostport, message, decision)
-
-    def _send_via_manager(self, message: Message) -> Any:
-        """``send`` with a lazy channel manager attached.
-
-        Channel resolution may perform a credential round trip, so it runs
-        *outside* the admission lock; the fault decision is still drawn
-        only after the destination resolves (unknown destinations draw no
-        faults), keeping seeded draw sequences identical to the
-        manager-less path and the simulator.  A failed lazy resolution
-        counts as a drop of the admitted message: retryable resolver
-        failures surface as :class:`DeliveryError` for the retry machinery,
-        unknown peers as permanent :class:`UnknownEndpointError`.
-        """
-        with self._lock:
-            self._admit_locked(message)
-            endpoint = self._endpoints.get(message.destination)
-        if endpoint is None:
-            try:
-                hostport = self.peer_manager.resolve(message.destination)
-            except (UnknownEndpointError, DeliveryError):
-                with self._lock:
-                    self.statistics.messages_dropped += 1
-                raise
-        with self._lock:
-            decision = self._decide_locked(message)
-        if endpoint is not None:
-            return self._deliver_local(endpoint, message, decision)
-        return self._deliver_remote(hostport, message, decision)
+        return self._send(sender, destination, operation, payload)
 
     def send_batch(
         self, sender: str, entries: List[Tuple[str, str, Any]]
     ) -> List[BatchResult]:
         """Deliver a fan-out, accounting each entry exactly like ``send``.
 
-        Admission runs under one lock acquisition in entry order (counters
-        are deterministic regardless of strategy); the admitted deliveries
-        then run through the configured :class:`DispatchStrategy` -- under
-        :class:`~repro.transport.network.ParallelDispatch` the socket round
-        trips of one wave overlap across destinations.  Per-entry failures
-        are returned, never raised.
+        Under :class:`~repro.transport.network.ParallelDispatch` the socket
+        round trips of one wave overlap across destinations.  Per-entry
+        failures are returned, never raised.
         """
-        results: List[BatchResult] = [BatchResult() for _ in entries]
-        if self.peer_manager is not None:
-            admitted = self._admit_batch_via_manager(sender, entries, results)
-        else:
-            admitted = self._admit_batch(sender, entries, results)
-
-        # Injected reordering: deterministically defer flagged entries to
-        # the back of the wave (stable), mirroring the simulator.
-        if any(entry[4] is not None and entry[4].reorder for entry in admitted):
-            admitted = [
-                e for e in admitted if e[4] is None or not e[4].reorder
-            ] + [e for e in admitted if e[4] is not None and e[4].reorder]
-
-        def make_unit(
-            index: int,
-            message: Message,
-            endpoint: Optional[Endpoint],
-            hostport: Optional[HostPort],
-            decision: Optional[FaultDecision],
-        ) -> Callable[[], None]:
-            def unit() -> None:
-                try:
-                    if endpoint is not None:
-                        results[index].result = self._deliver_local(
-                            endpoint, message, decision
-                        )
-                    else:
-                        results[index].result = self._deliver_remote(
-                            hostport, message, decision
-                        )
-                except Exception as error:  # per-entry isolation, as simulated
-                    results[index].error = error
-
-            return unit
-
-        self.dispatch.run([make_unit(*entry) for entry in admitted])
-        return results
-
-    def _admit_batch(
-        self,
-        sender: str,
-        entries: List[Tuple[str, str, Any]],
-        results: List[BatchResult],
-    ) -> List[
-        Tuple[
-            int,
-            Message,
-            Optional[Endpoint],
-            Optional[HostPort],
-            Optional[FaultDecision],
-        ]
-    ]:
-        """Admission + resolution + fault draws, one lock pass in entry order."""
-        admitted = []
-        trace_ctx = _tracing.current_ctx() if _OBS.tracing is not None else None
-        with self._lock:
-            for index, (destination, operation, payload) in enumerate(entries):
-                message = Message(
-                    sender=sender,
-                    destination=destination,
-                    operation=operation,
-                    payload=payload,
-                    message_id=self._message_counter.next(),
-                    trace=trace_ctx,
-                )
-                self._admit_locked(message)
-                try:
-                    endpoint, hostport = self._resolve(destination)
-                except UnknownEndpointError as error:
-                    self.statistics.messages_dropped += 1
-                    results[index].error = error
-                    continue
-                decision = self._decide_locked(message)
-                admitted.append((index, message, endpoint, hostport, decision))
-        return admitted
-
-    def _admit_batch_via_manager(
-        self,
-        sender: str,
-        entries: List[Tuple[str, str, Any]],
-        results: List[BatchResult],
-    ) -> List[
-        Tuple[
-            int,
-            Message,
-            Optional[Endpoint],
-            Optional[HostPort],
-            Optional[FaultDecision],
-        ]
-    ]:
-        """Batch admission with lazy channel resolution between lock passes.
-
-        Mirrors :meth:`_send_via_manager`: admission (entry order, one lock
-        pass), then manager resolution outside the lock -- a wave touching
-        many cold peers creates their channels here, possibly evicting
-        others -- then fault draws in entry order for the entries that
-        resolved, matching the manager-less draw sequence.
-        """
-        staged = []
-        trace_ctx = _tracing.current_ctx() if _OBS.tracing is not None else None
-        with self._lock:
-            for index, (destination, operation, payload) in enumerate(entries):
-                message = Message(
-                    sender=sender,
-                    destination=destination,
-                    operation=operation,
-                    payload=payload,
-                    message_id=self._message_counter.next(),
-                    trace=trace_ctx,
-                )
-                self._admit_locked(message)
-                staged.append((index, message, self._endpoints.get(destination)))
-        resolved = []
-        for index, message, endpoint in staged:
-            hostport = None
-            if endpoint is None:
-                try:
-                    hostport = self.peer_manager.resolve(message.destination)
-                except (UnknownEndpointError, DeliveryError) as error:
-                    with self._lock:
-                        self.statistics.messages_dropped += 1
-                    results[index].error = error
-                    continue
-            resolved.append((index, message, endpoint, hostport))
-        with self._lock:
-            return [
-                (index, message, endpoint, hostport, self._decide_locked(message))
-                for index, message, endpoint, hostport in resolved
-            ]
+        return self._send_batch(sender, entries)
 
     # -- system (infrastructure) requests ------------------------------------------
 
@@ -889,22 +532,7 @@ class WireNetwork:
         envelope.update(wirecodec.flatten_error(error))
         return wirecodec.encode_body(envelope)
 
-    # -- introspection / teardown ----------------------------------------------------
-
-    @property
-    def trace(self) -> List[Message]:
-        """Originated messages (only populated when ``trace_enabled`` is set)."""
-        return self._recorder.messages()
-
-    def clear_trace(self) -> None:
-        self._recorder.clear()
-
-    def set_trace_capacity(self, cap: int) -> None:
-        """Re-bound the message recorder (existing entries are kept FIFO)."""
-        self._recorder.set_cap(cap)
-
-    def reset_statistics(self) -> None:
-        self.statistics = NetworkStatistics()
+    # -- teardown ----------------------------------------------------
 
     def close(self) -> None:
         """Stop serving and close every client connection (idempotent)."""

@@ -12,24 +12,24 @@ import pytest
 from repro import (
     CallableValidator,
     ComponentDescriptor,
-    FaultModel,
     TokenType,
     TrustDomain,
 )
 from repro.errors import DeliveryError, ProtocolError, ReproError
+from repro.faults import FaultPlan, FaultRule
 from repro.transport.delivery import RetryPolicy
 from tests.conftest import QuoteService
 
 
 def lossy_domain(drop_probability, seed, parties=2, duplicate_probability=0.0):
     uris = [f"urn:org:party{i}" for i in range(parties)]
-    fault_model = FaultModel(
-        drop_probability=drop_probability,
-        duplicate_probability=duplicate_probability,
-        max_consecutive_drops=4,
-        seed=seed,
-    )
-    return TrustDomain.create(uris, fault_model=fault_model)
+    rules = []
+    if drop_probability:
+        rules.append(FaultRule("drop", probability=drop_probability))
+    if duplicate_probability:
+        rules.append(FaultRule("duplicate", probability=duplicate_probability))
+    fault_plan = FaultPlan(rules=rules, seed=seed, max_consecutive_failures=4)
+    return TrustDomain.create(uris, fault_plan=fault_plan)
 
 
 class TestLossyNetwork:
@@ -67,12 +67,13 @@ class TestLossyNetwork:
         uris = [f"urn:org:party{i}" for i in range(3)]
         domain = TrustDomain.create(
             uris,
-            fault_model=FaultModel(
-                drop_probability=0.4,
-                latency_seconds=0.01,
-                jitter_seconds=0.01,
-                max_consecutive_drops=3,
+            fault_plan=FaultPlan(
+                rules=[
+                    FaultRule("drop", probability=0.4),
+                    FaultRule("delay", latency_seconds=0.01, jitter_seconds=0.01),
+                ],
                 seed=b"loss-sharing",
+                max_consecutive_failures=3,
             ),
         )
         domain.share_object("resilient-doc", {"counter": 0})
@@ -183,10 +184,10 @@ class TestMisbehaviour:
         assert b.shared_state("doc") == {"v": 0}
 
     def test_retry_budget_exhaustion_is_reported(self):
-        fault_model = FaultModel(drop_probability=1.0, max_consecutive_drops=10**6, seed=b"dead")
-        domain = TrustDomain.create(
-            ["urn:org:a", "urn:org:b"], fault_model=fault_model
+        fault_plan = FaultPlan(
+            rules=[FaultRule("drop")], seed=b"dead", max_consecutive_failures=10**6
         )
+        domain = TrustDomain.create(["urn:org:a", "urn:org:b"], fault_plan=fault_plan)
         client = domain.organisation("urn:org:a")
         server = domain.organisation("urn:org:b")
         server.deploy(

@@ -18,7 +18,8 @@ from collections import Counter
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import FaultModel, TrustDomain
+from repro import TrustDomain
+from repro.faults import FaultPlan, FaultRule
 
 _SETTINGS = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -63,8 +64,10 @@ def _run_workload(mode, drop, seed, updates, membership_change=False):
     domain = TrustDomain.create(
         [f"urn:org:p{i}" for i in range(PARTIES)],
         scheme="hmac",
-        fault_model=FaultModel(
-            drop_probability=drop, max_consecutive_drops=3, seed=seed
+        fault_plan=FaultPlan(
+            rules=[FaultRule("drop", probability=drop)],
+            seed=seed,
+            max_consecutive_failures=3,
         ),
         scheduled_retries=True,
         async_runs=(mode == "optin"),
@@ -136,19 +139,24 @@ class TestAsyncBlockingEquivalence:
         assert blocking == optin
 
 
+DEADLINE_PLAN = FaultPlan(
+    rules=[FaultRule("drop", probability=0.1)], seed=b"deadline-equiv"
+)
+
+
 class TestDeadlinedRunsStayEquivalent:
     def test_generous_deadline_changes_nothing_but_timer_counters(self):
         """A deadline that never fires must not alter the protocol's cost."""
         domain_plain = TrustDomain.create(
             [f"urn:org:p{i}" for i in range(PARTIES)],
             scheme="hmac",
-            fault_model=FaultModel(drop_probability=0.1, seed=b"deadline-equiv"),
+            fault_plan=DEADLINE_PLAN,
             scheduled_retries=True,
         )
         domain_deadline = TrustDomain.create(
             [f"urn:org:p{i}" for i in range(PARTIES)],
             scheme="hmac",
-            fault_model=FaultModel(drop_probability=0.1, seed=b"deadline-equiv"),
+            fault_plan=DEADLINE_PLAN,
             scheduled_retries=True,
         )
         for domain in (domain_plain, domain_deadline):

@@ -11,7 +11,8 @@ order in both modes.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import FaultModel, TrustDomain
+from repro import TrustDomain
+from repro.faults import FaultPlan, FaultRule
 from repro.transport.delivery import ReliableChannel, RetryPolicy
 from repro.transport.network import SimulatedNetwork
 from repro.transport.scheduler import RetryScheduler
@@ -23,10 +24,16 @@ _SETTINGS = settings(
 _POLICY = RetryPolicy(max_attempts=6, backoff_seconds=0.05, backoff_multiplier=2.0)
 
 
-def _transport_run(scheduled, seed, drop, entries):
-    network = SimulatedNetwork(
-        FaultModel(drop_probability=drop, max_consecutive_drops=3, seed=seed)
+def _drop_plan(drop, seed):
+    return FaultPlan(
+        rules=[FaultRule("drop", probability=drop)],
+        seed=seed,
+        max_consecutive_failures=3,
     )
+
+
+def _transport_run(scheduled, seed, drop, entries):
+    network = SimulatedNetwork(fault_plan=_drop_plan(drop, seed))
     if scheduled:
         network.set_retry_scheduler(RetryScheduler(network.clock))
     destinations = sorted({destination for destination, _ in entries})
@@ -92,9 +99,7 @@ def _protocol_run(scheduled, drop, seed, updates):
     domain = TrustDomain.create(
         [f"urn:org:p{i}" for i in range(4)],
         scheme="hmac",
-        fault_model=FaultModel(
-            drop_probability=drop, max_consecutive_drops=3, seed=seed
-        ),
+        fault_plan=_drop_plan(drop, seed),
         scheduled_retries=scheduled,
     )
     domain.share_object("doc", {"v": 0})

@@ -9,10 +9,11 @@ deadline.
 
 import pytest
 
-from repro import ComponentDescriptor, FaultModel, TokenType, TrustDomain
+from repro import ComponentDescriptor, TokenType, TrustDomain
 from repro.core.fair_exchange import FairExchangeClient
 from repro.core.sharing import RunFuture
 from repro.errors import CoordinationError, FairExchangeError, MembershipError
+from repro.faults import FaultPlan, FaultRule
 from tests.conftest import QuoteService
 
 
@@ -52,7 +53,9 @@ class TestProposeUpdateAsync:
         domain = make_domain(
             parties=4,
             scheduled_retries=True,
-            fault_model=FaultModel(drop_probability=0.15, seed=b"async-unit"),
+            fault_plan=FaultPlan(
+                rules=[FaultRule("drop", probability=0.15)], seed=b"async-unit"
+            ),
         )
         for index in range(8):
             domain.share_object(f"obj-{index}", {"v": 0})

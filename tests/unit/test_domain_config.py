@@ -22,7 +22,7 @@ from repro.core.config import (
 from repro.core.trust_domain import TrustDomain
 from repro.errors import PersistenceError, ProtocolError
 from repro.faults import FaultPlan
-from repro.transport.network import FaultModel, SimulatedNetwork
+from repro.transport.network import SimulatedNetwork
 
 PARTIES = ["urn:org:a", "urn:org:b"]
 
@@ -108,11 +108,6 @@ class TestEquivalence:
         )
         assert via_kwarg.network.fault_plan is plan
         assert via_config.network.fault_plan is plan
-        model = FaultModel(drop_probability=0.5, seed=b"\x03")
-        via_model = TrustDomain.create(
-            PARTIES, config=DomainConfig(faults=FaultConfig(model=model))
-        )
-        assert via_model.network.fault_model is model
 
 
 class TestMixingPaths:
@@ -130,17 +125,6 @@ class TestMixingPaths:
 
 
 class TestValidation:
-    def test_fault_model_and_plan_are_exclusive(self):
-        config = DomainConfig(
-            faults=FaultConfig(plan=FaultPlan(seed=1), model=FaultModel())
-        )
-        with pytest.raises(ProtocolError, match="not both"):
-            config.validate()
-        with pytest.raises(ProtocolError, match="not both"):
-            TrustDomain.create(
-                PARTIES, fault_plan=FaultPlan(seed=1), fault_model=FaultModel()
-            )
-
     def test_storage_and_explicit_factories_are_exclusive(self):
         from repro.persistence.storage import InMemoryBackend
 

@@ -2,8 +2,7 @@
 
 Covers rule/plan validation, the JSON schedule round trip, seeded
 determinism, the bounded-consecutive-loss guarantee, partition windows,
-``max_shots`` budgets, legacy :class:`FaultModel` bridging and the
-hit-count semantics of crash failpoints.
+``max_shots`` budgets and the hit-count semantics of crash failpoints.
 """
 
 from __future__ import annotations
@@ -14,12 +13,10 @@ import pytest
 
 from repro.faults import (
     FailpointRegistry,
-    FaultInjector,
     FaultPlan,
     FaultRule,
     VERB_CLOSE,
 )
-from repro.transport.network import FaultModel
 
 
 class TestFaultRuleValidation:
@@ -30,6 +27,14 @@ class TestFaultRuleValidation:
     def test_probability_bounds(self):
         with pytest.raises(ValueError, match="probability"):
             FaultRule(fault="drop", probability=1.5)
+        with pytest.raises(ValueError, match="probability"):
+            FaultRule(fault="duplicate", probability=-0.1)
+
+    def test_latency_and_jitter_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            FaultRule(fault="delay", latency_seconds=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            FaultRule(fault="delay", jitter_seconds=-0.5)
 
     def test_deterministic_kinds_refuse_probability(self):
         with pytest.raises(ValueError, match="deterministic"):
@@ -171,46 +176,6 @@ class TestInjectorDeterminism:
             injector.decide("urn:a", "urn:b", "op").drop for _ in range(5)
         ]
         assert drops == [True, True, False, False, False]
-
-    def test_injector_requires_exactly_one_source(self):
-        plan = FaultPlan()
-        model = FaultModel(drop_probability=0.1)
-        with pytest.raises(ValueError, match="exactly one"):
-            FaultInjector()
-        with pytest.raises(ValueError, match="exactly one"):
-            FaultInjector(plan=plan, model=model)
-
-    def test_model_mode_respects_the_consecutive_bound(self):
-        injector = FaultInjector(
-            model=FaultModel(
-                drop_probability=1.0, max_consecutive_drops=3, seed=b"m"
-            )
-        )
-        drops = [
-            injector.decide("urn:a", "urn:b", "op").drop for _ in range(8)
-        ]
-        assert drops == [True, True, True, False, True, True, True, False]
-
-
-class TestFaultModelBridge:
-    def test_from_fault_model_lifts_every_configured_behaviour(self):
-        model = FaultModel(
-            drop_probability=0.2,
-            duplicate_probability=0.1,
-            latency_seconds=0.5,
-            jitter_seconds=0.25,
-            max_consecutive_drops=7,
-            seed=b"legacy",
-        )
-        plan = FaultPlan.from_fault_model(model)
-        assert plan.seed == b"legacy"
-        assert plan.max_consecutive_failures == 7
-        kinds = [rule.fault for rule in plan.rules]
-        assert kinds == ["drop", "delay", "duplicate"]
-
-    def test_from_fault_model_omits_disabled_behaviours(self):
-        plan = FaultPlan.from_fault_model(FaultModel(drop_probability=0.5))
-        assert [rule.fault for rule in plan.rules] == ["drop"]
 
 
 class TestCrashFailpoints:

@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from repro import FaultModel, TokenType, TrustDomain
+from repro import TokenType, TrustDomain
+from repro.faults import FaultPlan, FaultRule
 from repro.core.evidence import EvidenceBuilder, EvidenceToken, EvidenceVerifier
 from repro.crypto import dsa
 from repro.crypto.signature import Signer, generate_keypair
@@ -115,9 +116,12 @@ class TestDispatchStrategies:
         assert network.dispatch.name == "parallel"
 
 
+DUPLICATE_EVERYTHING = FaultPlan(rules=[FaultRule("duplicate")], seed=b"dup")
+
+
 class TestDuplicateAccounting:
     def test_send_accounts_duplicate_before_dispatch(self):
-        network = SimulatedNetwork(FaultModel(duplicate_probability=1.0, seed=b"dup"))
+        network = SimulatedNetwork(fault_plan=DUPLICATE_EVERYTHING)
         observed = []
 
         def handler(message):
@@ -134,7 +138,7 @@ class TestDuplicateAccounting:
     def test_send_batch_accounts_duplicates_like_send(self, dispatch):
         def run(use_batch):
             network = SimulatedNetwork(
-                FaultModel(duplicate_probability=1.0, seed=b"dup"), dispatch=dispatch
+                fault_plan=DUPLICATE_EVERYTHING, dispatch=dispatch
             )
             calls = []
             network.register("urn:dst", lambda message: calls.append(message.message_id))
@@ -159,14 +163,16 @@ class TestDispatchEquivalence:
     UPDATES = 3
 
     def run_sharing_scenario(self, dispatch, latency_seconds=0.0):
-        fault_model = FaultModel(
-            drop_probability=0.08,
-            duplicate_probability=0.08,
-            latency_seconds=latency_seconds,
+        fault_plan = FaultPlan(
+            rules=[
+                FaultRule("drop", probability=0.08),
+                FaultRule("delay", latency_seconds=latency_seconds),
+                FaultRule("duplicate", probability=0.08),
+            ],
             seed=b"equivalence",
         )
         uris = [f"urn:eq:party{i}" for i in range(self.PARTIES)]
-        domain = TrustDomain.create(uris, fault_model=fault_model, dispatch=dispatch)
+        domain = TrustDomain.create(uris, fault_plan=fault_plan, dispatch=dispatch)
         domain.share_object("doc", {"revision": 0})
         organisations = [domain.organisation(uri) for uri in uris]
         for revision in range(1, self.UPDATES + 1):

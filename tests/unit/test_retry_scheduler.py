@@ -7,13 +7,14 @@ import pytest
 from repro.clock import SimulatedClock, SystemClock
 from repro.errors import DeliveryError, UnknownEndpointError
 from repro.transport.delivery import ReliableChannel, RetryPolicy
-from repro.transport.network import FaultModel, SimulatedNetwork
+from repro.faults import FaultPlan, FaultRule
+from repro.transport.network import SimulatedNetwork
 from repro.transport.scheduler import DeliveryFuture, RetryScheduler, wait_all
 
 
-def scheduled_network(fault_model=None, clock=None):
+def scheduled_network(fault_plan=None, clock=None):
     clock = clock or SimulatedClock()
-    network = SimulatedNetwork(fault_model, clock=clock)
+    network = SimulatedNetwork(clock=clock, fault_plan=fault_plan)
     network.set_retry_scheduler(RetryScheduler(clock))
     return network
 
@@ -193,7 +194,11 @@ class TestScheduledSend:
 
     def test_eventual_success_on_lossy_link(self):
         network = scheduled_network(
-            FaultModel(drop_probability=0.8, max_consecutive_drops=4, seed=b"lossy")
+            FaultPlan(
+                rules=[FaultRule("drop", probability=0.8)],
+                seed=b"lossy",
+                max_consecutive_failures=4,
+            )
         )
         network.register("urn:dst", lambda message: "delivered")
         channel = ReliableChannel(network, "urn:src", RetryPolicy(max_attempts=20))

@@ -5,26 +5,10 @@ import pytest
 from repro.clock import SimulatedClock
 from repro.errors import DeliveryError, RemoteInvocationError, UnknownEndpointError
 from repro.transport.delivery import ReliableChannel, RetryPolicy
-from repro.transport.network import FaultModel, NetworkPartition, SimulatedNetwork
+from repro.faults import FaultPlan, FaultRule
+from repro.transport.network import NetworkPartition, SimulatedNetwork
 from repro.transport.registry import ObjectRegistry
 from repro.transport.rmi import RemoteInvoker, RemoteStub
-
-
-class TestFaultModel:
-    def test_probabilities_validated(self):
-        with pytest.raises(ValueError):
-            FaultModel(drop_probability=1.5)
-        with pytest.raises(ValueError):
-            FaultModel(duplicate_probability=-0.1)
-
-    def test_latency_validated(self):
-        with pytest.raises(ValueError):
-            FaultModel(latency_seconds=-1)
-
-    def test_defaults_are_lossless(self):
-        model = FaultModel()
-        assert model.drop_probability == 0.0
-        assert model.latency_seconds == 0.0
 
 
 class TestSimulatedNetwork:
@@ -83,7 +67,11 @@ class TestSimulatedNetwork:
 
     def test_drops_are_injected_but_bounded(self):
         network = SimulatedNetwork(
-            FaultModel(drop_probability=0.99, max_consecutive_drops=3, seed=b"drop")
+            fault_plan=FaultPlan(
+                rules=[FaultRule("drop", probability=0.99)],
+                seed=b"drop",
+                max_consecutive_failures=3,
+            )
         )
         network.register("urn:dst", lambda message: "ok")
         outcomes = []
@@ -92,13 +80,16 @@ class TestSimulatedNetwork:
                 outcomes.append(network.send("urn:src", "urn:dst", "op", {}))
             except DeliveryError:
                 outcomes.append(None)
-        # With max_consecutive_drops=3 at least every 4th attempt succeeds.
+        # With max_consecutive_failures=3 at least every 4th attempt succeeds.
         assert "ok" in outcomes
         assert network.statistics.messages_dropped > 0
 
     def test_latency_advances_simulated_clock(self):
         clock = SimulatedClock()
-        network = SimulatedNetwork(FaultModel(latency_seconds=0.25), clock=clock)
+        network = SimulatedNetwork(
+            clock=clock,
+            fault_plan=FaultPlan(rules=[FaultRule("delay", latency_seconds=0.25)]),
+        )
         network.register("urn:dst", lambda message: "ok")
         network.send("urn:src", "urn:dst", "op", {})
         network.send("urn:src", "urn:dst", "op", {})
@@ -106,7 +97,9 @@ class TestSimulatedNetwork:
         assert network.statistics.total_latency == pytest.approx(0.5)
 
     def test_duplicate_delivery_invokes_handler_twice(self):
-        network = SimulatedNetwork(FaultModel(duplicate_probability=1.0, seed=b"dup"))
+        network = SimulatedNetwork(
+            fault_plan=FaultPlan(rules=[FaultRule("duplicate")], seed=b"dup")
+        )
         calls = []
         network.register("urn:dst", lambda message: calls.append(message.message_id))
         network.send("urn:src", "urn:dst", "op", {})
@@ -164,7 +157,11 @@ class TestRetryPolicy:
 class TestReliableChannel:
     def test_retries_until_success_on_lossy_network(self):
         network = SimulatedNetwork(
-            FaultModel(drop_probability=0.8, max_consecutive_drops=4, seed=b"lossy")
+            fault_plan=FaultPlan(
+                rules=[FaultRule("drop", probability=0.8)],
+                seed=b"lossy",
+                max_consecutive_failures=4,
+            )
         )
         network.register("urn:dst", lambda message: "delivered")
         channel = ReliableChannel(network, "urn:src", RetryPolicy(max_attempts=20))

@@ -27,7 +27,8 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, FaultRule
 from repro.transport.delivery import ReliableChannel, RetryPolicy
-from repro.transport.network import FaultModel, SimulatedNetwork
+from repro.core.config import DomainConfig, FaultConfig, TransportConfig
+from repro.transport.network import SimulatedNetwork
 from repro.transport.scheduler import RetryScheduler
 from repro.transport.wire import (
     ConnectionClosed,
@@ -535,28 +536,24 @@ class TestWireTrustDomain:
                     transport=transport,
                     network=SimulatedNetwork(clock=SimulatedClock()),
                 )
-            with pytest.raises(ProtocolError, match="not both"):
-                TrustDomain.create(
-                    URIS,
-                    transport=transport,
-                    fault_model=FaultModel(drop_probability=0.5),
-                    fault_plan=FaultPlan(seed=b"x"),
-                )
 
     def test_wire_domain_accepts_either_fault_surface(self):
-        # fault_model= on a wire domain routes to the wire-side injector as
-        # an equivalent FaultPlan instead of being rejected.
+        # The plan reaches the wire-side injector through config= exactly
+        # as through the fault_plan= keyword.
+        plan = FaultPlan(rules=(FaultRule(fault="drop", probability=0.5),), seed=b"guard")
         with WireTransport(
             local_parties=[URIS[0]], await_remote_credentials=False
         ) as transport:
             domain = TrustDomain.create(
                 URIS,
-                transport=transport,
-                scheme="hmac",
-                fault_model=FaultModel(drop_probability=0.5, seed=b"guard"),
+                config=DomainConfig(
+                    scheme="hmac",
+                    transport=TransportConfig(wire=transport),
+                    faults=FaultConfig(plan=plan),
+                ),
             )
             assert domain.network is transport.network
-            assert domain.network.fault_plan is not None
+            assert domain.network.fault_plan is plan
             assert domain.network.fault_injector is not None
         with WireTransport(
             local_parties=[URIS[0]], await_remote_credentials=False
